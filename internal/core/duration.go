@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"mobiletraffic/internal/fit"
+	"mobiletraffic/internal/mathx"
 )
 
 // DurationModel is the power-law duration-volume model of §5.3:
@@ -117,7 +118,7 @@ func FitDurationModel(durations, values, counts []float64) (*DurationModel, erro
 	if err != nil {
 		return nil, err
 	}
-	if !isFinite(line.Intercept) || !isFinite(line.Slope) {
+	if !mathx.IsFinite(line.Intercept) || !mathx.IsFinite(line.Slope) {
 		return nil, errors.New("core: duration fit: non-finite log-log initialization")
 	}
 	model := &DurationModel{Alpha: math.Exp(line.Intercept), Beta: line.Slope}
@@ -128,11 +129,11 @@ func FitDurationModel(durations, values, counts []float64) (*DurationModel, erro
 	// log-log initialization kept.
 	logModel := func(p []float64, x float64) float64 { return p[0] + p[1]*x }
 	res, err := fit.LM(logModel, lx, ly, []float64{line.Intercept, line.Slope}, &fit.LMOptions{Weights: ws})
-	if err == nil && isFinite(res.Params[0]) && isFinite(res.Params[1]) {
+	if err == nil && mathx.IsFinite(res.Params[0]) && mathx.IsFinite(res.Params[1]) {
 		model.Alpha = math.Exp(res.Params[0])
 		model.Beta = res.Params[1]
 	}
-	if !isFinite(model.Alpha) || model.Alpha <= 0 || !isFinite(model.Beta) {
+	if !mathx.IsFinite(model.Alpha) || model.Alpha <= 0 || !mathx.IsFinite(model.Beta) {
 		return nil, errors.New("core: duration fit produced non-finite parameters")
 	}
 	yhat := make([]float64, len(lx))

@@ -92,7 +92,7 @@ func (s *ModelSet) ByName(name string) (*ServiceModel, error) {
 func (s *ModelSet) Validate() error {
 	span := obs.StartSpan("validate")
 	defer span.End()
-	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	finite := mathx.IsFinite
 	var problems []string
 	bad := func(format string, args ...interface{}) {
 		problems = append(problems, fmt.Sprintf(format, args...))

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"mobiletraffic/internal/dist"
+	"mobiletraffic/internal/mathx"
 	"mobiletraffic/internal/netsim"
 	"mobiletraffic/internal/obs"
 	"mobiletraffic/internal/probe"
@@ -222,7 +223,7 @@ func fallbackVolumeModel(measured *dist.Hist) (*VolumeModel, error) {
 		return nil, fmt.Errorf("core: volume fallback: %w", err)
 	}
 	mu, sigma := h.Mean(), h.Std()
-	if !isFinite(mu) || !isFinite(sigma) {
+	if !mathx.IsFinite(mu) || !mathx.IsFinite(sigma) {
 		return nil, fmt.Errorf("core: volume fallback: non-finite moments")
 	}
 	if sigma < FallbackVolumeSigmaFloor {
@@ -246,7 +247,7 @@ func fallbackDurationModel(durations, values, counts []float64) (*DurationModel,
 		if i >= len(values) || counts == nil || i >= len(counts) {
 			break
 		}
-		if counts[i] <= 0 || !isFinite(values[i]) || values[i] <= 0 || durations[i] <= 0 {
+		if counts[i] <= 0 || !mathx.IsFinite(values[i]) || values[i] <= 0 || durations[i] <= 0 {
 			continue
 		}
 		vol += values[i] * counts[i]
@@ -257,9 +258,6 @@ func fallbackDurationModel(durations, values, counts []float64) (*DurationModel,
 	}
 	return &DurationModel{Alpha: vol / dur, Beta: 1, R2: 0}, nil
 }
-
-// isFinite reports whether v is neither NaN nor infinite.
-func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // FitArrivalsByDecile fits one ArrivalModel per BS load decile from
 // the collected minute counts; see FitArrivalsByDecileReport. It

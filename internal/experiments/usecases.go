@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -264,29 +263,29 @@ func (t *demandTile) reset() {
 	}
 }
 
-// add rasterizes one session with slicing.AddSession's uniform spread:
-// volume at rate bytes/second over the minutes the session overlaps.
-// start is seconds from the tile origin; maxCols caps the spread at the
-// trace horizon exactly as AddSession clamps to its Minutes.
+// add rasterizes one session with slicing.AddSession's uniform spread
+// (mathx.SpreadUniform): volume at rate bytes/second over the minutes
+// the session overlaps. start is seconds from the tile origin; maxCols
+// caps the spread at the trace horizon exactly as AddSession clamps to
+// its Minutes. The row first grows to cover the session's last minute,
+// ⌊end/60⌋, compared in float so a huge end never overflows an int.
+// Sessions AddSession would reject — non-finite or non-positive — are
+// skipped.
 func (t *demandTile) add(cat int, start, dur, vol float64, maxCols int) {
-	if dur <= 0 || vol <= 0 {
+	if !mathx.IsFinite(start) || !mathx.IsFinite(dur) || !mathx.IsFinite(vol) || dur <= 0 || vol <= 0 {
 		return
 	}
-	rate := vol / dur
 	end := start + dur
-	row := t.rows[cat]
-	for m := int(start / 60); m < maxCols; m++ {
-		lo := math.Max(start, float64(m)*60)
-		hi := math.Min(end, float64(m+1)*60)
-		if hi <= lo {
-			break
-		}
-		for m >= len(row) {
-			row = append(row, 0)
-		}
-		row[m] += rate * (hi - lo)
+	n := maxCols
+	if last := end / 60; last < float64(maxCols-1) {
+		n = int(last) + 1
 	}
-	t.rows[cat] = row
+	row := t.rows[cat]
+	if n > len(row) {
+		row = append(row, make([]float64, n-len(row))...)
+		t.rows[cat] = row
+	}
+	mathx.SpreadUniform(row, start, end, vol/dur, 60)
 }
 
 // merge folds the tile into the trace at day d. Tiles merge strictly

@@ -52,9 +52,11 @@ func TestProcessAttempt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// start precedes the deadline's clock, so a slow scheduler
+		// between the two cannot make a full hang look short.
+		start := time.Now()
 		hctx, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
 		defer cancel()
-		start := time.Now()
 		err = p.Attempt(hctx, 0, 1)
 		if err == nil || !strings.Contains(err.Error(), "hang") {
 			t.Fatalf("hang: err = %v", err)

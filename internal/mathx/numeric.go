@@ -56,6 +56,49 @@ func Interp(x float64, xs, ys []float64) float64 {
 	return ys[i-1]*(1-t) + ys[i]*t
 }
 
+// SpreadUniform adds a constant rate held over [start, end) to the
+// time slots of row, slot m covering [m·width, (m+1)·width): every slot
+// gains rate times its overlap with the interval. Time before 0 and at
+// or past len(row)·width is dropped, so the first slot is
+// ⌊max(start, 0)/width⌋ and sessions never index outside row. The edge
+// slots get rate·(hi−lo) from the clamped overlap; every interior slot
+// gets the constant rate·width, which is the same value bit for bit —
+// for |m|·width < 2^53 the edges m·width and (m+1)·width are exact, so
+// their difference is exactly width. A NaN start or end adds nothing;
+// rejecting other non-finite input is the caller's job.
+func SpreadUniform(row []float64, start, end, rate, width float64) {
+	f := max(start, 0) / width
+	if !(f < float64(len(row))) {
+		return
+	}
+	m := int(f)
+	lo := float64(m) * width
+	if start > lo {
+		lo = start
+	}
+	hi := float64(m+1) * width
+	if !(end >= hi) {
+		hi = end
+	}
+	if !(hi > lo) {
+		return
+	}
+	row[m] += rate * (hi - lo)
+	full := rate * width
+	for m++; m < len(row); m++ {
+		if hi := float64(m+1) * width; !(hi <= end) {
+			if lo := float64(m) * width; end > lo {
+				row[m] += rate * (end - lo)
+			}
+			return
+		}
+		row[m] += full
+	}
+}
+
+// IsFinite reports whether v is neither NaN nor ±Inf.
+func IsFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // LinSpace returns n evenly spaced points from lo to hi inclusive.
 // n must be >= 2.
 func LinSpace(lo, hi float64, n int) []float64 {

@@ -11,7 +11,6 @@ package slicing
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"mobiletraffic/internal/mathx"
@@ -50,25 +49,23 @@ func NewDemandTrace(numServices, minutes int) (*DemandTrace, error) {
 }
 
 // AddSession spreads the session's volume uniformly over its lifetime
-// across the minutes it overlaps, clamping to the trace horizon.
+// across the minutes it overlaps (mathx.SpreadUniform), clamping to the
+// trace horizon: the part of a session before minute 0 or past the last
+// minute is dropped. Start, duration and volume must be finite, and
+// duration and volume positive.
 func (d *DemandTrace) AddSession(s SessionSpec) error {
 	if s.Service < 0 || s.Service >= d.NumServices {
 		return fmt.Errorf("slicing: service %d out of range [0, %d)", s.Service, d.NumServices)
+	}
+	if !mathx.IsFinite(s.Start) || !mathx.IsFinite(s.Duration) || !mathx.IsFinite(s.Volume) {
+		return fmt.Errorf("slicing: session needs finite start, duration and volume, got %v/%v/%v",
+			s.Start, s.Duration, s.Volume)
 	}
 	if s.Duration <= 0 || s.Volume <= 0 {
 		return fmt.Errorf("slicing: session needs positive duration and volume, got %v/%v",
 			s.Duration, s.Volume)
 	}
-	rate := s.Volume / s.Duration // bytes per second
-	end := s.Start + s.Duration
-	for m := int(s.Start / 60); m < d.Minutes; m++ {
-		lo := math.Max(s.Start, float64(m)*60)
-		hi := math.Min(end, float64(m+1)*60)
-		if hi <= lo {
-			break
-		}
-		d.Demand[s.Service][m] += rate * (hi - lo)
-	}
+	mathx.SpreadUniform(d.Demand[s.Service], s.Start, s.Start+s.Duration, s.Volume/s.Duration, 60)
 	return nil
 }
 

@@ -61,6 +61,64 @@ func TestDemandTraceValidation(t *testing.T) {
 	}
 }
 
+// TestDemandTraceRejectsNonFinite pins that a NaN or infinite field is
+// an error and leaves the trace untouched; a NaN duration used to pass
+// the positivity check and write NaN into every later minute.
+func TestDemandTraceRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		spec SessionSpec
+	}{
+		{"NaN duration", SessionSpec{Start: 90, Duration: nan, Volume: 1000}},
+		{"NaN volume", SessionSpec{Start: 90, Duration: 60, Volume: nan}},
+		{"NaN start", SessionSpec{Start: nan, Duration: 60, Volume: 1000}},
+		{"infinite duration and volume", SessionSpec{Start: 90, Duration: inf, Volume: inf}},
+		{"infinite duration", SessionSpec{Start: 90, Duration: inf, Volume: 1000}},
+		{"infinite start", SessionSpec{Start: -inf, Duration: 60, Volume: 1000}},
+	}
+	for _, c := range cases {
+		d, _ := NewDemandTrace(1, 10)
+		if err := d.AddSession(c.spec); err == nil {
+			t.Errorf("%s: want an error", c.name)
+		}
+		for m, v := range d.Demand[0] {
+			if v != 0 {
+				t.Errorf("%s: minute %d demand = %v, want untouched", c.name, m, v)
+				break
+			}
+		}
+	}
+}
+
+// TestDemandTraceNegativeStart pins the clamp at minute 0: the part of
+// a session before the trace origin is dropped, however early it
+// starts, instead of indexing a negative minute.
+func TestDemandTraceNegativeStart(t *testing.T) {
+	cases := []struct {
+		name       string
+		start, dur float64
+		want       []float64 // bytes per minute at 1 B/s
+	}{
+		{"within the first minute", -30, 120, []float64{60, 30, 0}},
+		{"one minute early", -60, 150, []float64{60, 30, 0}},
+		{"two minutes early", -130, 150, []float64{20, 0, 0}},
+		{"ends before the origin", -500, 100, []float64{0, 0, 0}},
+	}
+	for _, c := range cases {
+		d, _ := NewDemandTrace(1, 3)
+		if err := d.AddSession(SessionSpec{Start: c.start, Duration: c.dur, Volume: c.dur}); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for m, w := range c.want {
+			if d.Demand[0][m] != w {
+				t.Errorf("%s: demand = %v, want %v", c.name, d.Demand[0], c.want)
+				break
+			}
+		}
+	}
+}
+
 func TestTotal(t *testing.T) {
 	d, _ := NewDemandTrace(2, 3)
 	d.Demand[0] = []float64{1, 2, 3}

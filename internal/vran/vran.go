@@ -116,24 +116,22 @@ func NewThroughputSeries(dus, slots int) (*ThroughputSeries, error) {
 
 // AddSession adds a session served by the DU: constant throughput
 // volume/duration (bytes/s, converted to Mbps) over [start, start+dur),
-// clamped to the horizon.
+// spread over the one-second slots it overlaps (mathx.SpreadUniform)
+// and clamped to the horizon: time before slot 0 or past the last slot
+// is dropped. Start, duration and volume must be finite, and duration
+// and volume positive.
 func (s *ThroughputSeries) AddSession(du int, start, duration, volumeBytes float64) error {
 	if du < 0 || du >= s.DUs {
 		return fmt.Errorf("vran: DU %d out of range [0, %d)", du, s.DUs)
 	}
+	if !mathx.IsFinite(start) || !mathx.IsFinite(duration) || !mathx.IsFinite(volumeBytes) {
+		return fmt.Errorf("vran: session needs finite start, duration and volume, got %v/%v/%v",
+			start, duration, volumeBytes)
+	}
 	if duration <= 0 || volumeBytes <= 0 {
 		return fmt.Errorf("vran: session needs positive duration/volume, got %v/%v", duration, volumeBytes)
 	}
-	mbps := volumeBytes / duration * 8 / 1e6
-	end := start + duration
-	for ts := int(math.Max(start, 0)); ts < s.Slots; ts++ {
-		lo := math.Max(start, float64(ts))
-		hi := math.Min(end, float64(ts+1))
-		if hi <= lo {
-			break
-		}
-		s.Series[du][ts] += mbps * (hi - lo)
-	}
+	mathx.SpreadUniform(s.Series[du], start, start+duration, volumeBytes/duration*8/1e6, 1)
 	return nil
 }
 

@@ -117,6 +117,51 @@ func TestThroughputSeriesValidation(t *testing.T) {
 	}
 }
 
+// TestThroughputSeriesRejectsNonFinite pins that a NaN or infinite
+// field is an error and leaves the series untouched.
+func TestThroughputSeriesRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name                 string
+		start, dur, volBytes float64
+	}{
+		{"NaN duration", 1.5, nan, 1e6},
+		{"NaN volume", 1.5, 2, nan},
+		{"NaN start", nan, 2, 1e6},
+		{"infinite duration and volume", 1.5, inf, inf},
+		{"infinite start", -inf, 2, 1e6},
+	}
+	for _, c := range cases {
+		s, _ := NewThroughputSeries(1, 10)
+		if err := s.AddSession(0, c.start, c.dur, c.volBytes); err == nil {
+			t.Errorf("%s: want an error", c.name)
+		}
+		for ts, v := range s.Series[0] {
+			if v != 0 {
+				t.Errorf("%s: slot %d = %v, want untouched", c.name, ts, v)
+				break
+			}
+		}
+	}
+}
+
+// TestThroughputSeriesNegativeStart pins the clamp at slot 0: the part
+// of a session before the origin is dropped.
+func TestThroughputSeriesNegativeStart(t *testing.T) {
+	s, _ := NewThroughputSeries(1, 4)
+	// 1 Mbps (125000 B/s) over [-2.5, 1.5): 1 s in slot 0, 0.5 s in slot 1.
+	if err := s.AddSession(0, -2.5, 4, 4*125000); err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{1, 0.5, 0, 0}
+	for ts, w := range want {
+		if s.Series[0][ts] != w {
+			t.Errorf("series = %v, want %v", s.Series[0], want)
+			break
+		}
+	}
+}
+
 func TestRun(t *testing.T) {
 	s, _ := NewThroughputSeries(3, 4)
 	// Slot 0: all idle. Slot 1: one DU at 40 Mbps. Slot 2: three DUs at
