@@ -33,7 +33,6 @@ func main() {
 		services = flag.String("services", "Netflix,Twitch,Deezer,Amazon,Pokemon GO,Waze",
 			"comma-separated services to characterize")
 		deciles = flag.String("deciles", "0,3,6,9", "comma-separated BS load deciles for arrival PDFs")
-		sampler = flag.String("sampler", "v2", "synthesis sampling engine: v2 (fast, table-driven) or v1 (historical byte-for-byte stream)")
 		mAddr   = flag.String("metrics-addr", "", "serve /metrics, /statusz, /events, /spans and /debug/pprof on this address (e.g. :9090)")
 
 		// Fault-tolerant sharded campaign (internal/campaign). Any of
@@ -66,13 +65,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "metrics: serving /metrics, /statusz and /debug/pprof on %s\n", addr)
 	}
 
-	samplerV, err := netsim.ParseSampler(*sampler)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := experiments.Config{NumBS: *numBS, Days: *days, Seed: *seed, Sampler: samplerV}
+	cfg := experiments.Config{NumBS: *numBS, Days: *days, Seed: *seed}
 	sharded := *shards > 0 || *ckptDir != "" || *resume
 	var env *experiments.Env
+	var err error
 	if sharded {
 		// SIGINT/SIGTERM no longer kill the campaign outright: the
 		// context cancels, in-flight shards stop, and the supervisor

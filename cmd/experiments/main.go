@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"mobiletraffic/internal/experiments"
-	"mobiletraffic/internal/netsim"
 	"mobiletraffic/internal/obs"
 )
 
@@ -31,7 +30,6 @@ func main() {
 		days     = flag.Int("days", 7, "number of simulated days (day 0 = Monday)")
 		seed     = flag.Int64("seed", 1, "master random seed")
 		moveProb = flag.Float64("moveprob", 0.25, "share of transient (mobility-truncated) sessions; negative disables mobility")
-		sampler  = flag.String("sampler", "v2", "synthesis sampling engine: v2 (fast, table-driven) or v1 (historical byte-for-byte stream)")
 		antennas = flag.Int("antennas", 10, "antennas in the slicing study (table2/fig12)")
 		slDays   = flag.Int("slicing-days", 7, "days in the slicing study")
 		ess      = flag.Int("ess", 16, "far edge sites in the vRAN study (fig13)")
@@ -106,14 +104,10 @@ func main() {
 			"killresume"}
 	}
 
-	samplerV, err := netsim.ParseSampler(*sampler)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "building environment (%d BSs x %d days, seed %d, sampler %s)...\n", *numBS, *days, *seed, samplerV)
+	fmt.Fprintf(os.Stderr, "building environment (%d BSs x %d days, seed %d)...\n", *numBS, *days, *seed)
 	envStart := time.Now()
 	env, err := experiments.NewEnv(experiments.Config{
-		NumBS: *numBS, Days: *days, Seed: *seed, MoveProb: *moveProb, Sampler: samplerV,
+		NumBS: *numBS, Days: *days, Seed: *seed, MoveProb: *moveProb,
 	})
 	if err != nil {
 		fatal(err)

@@ -38,7 +38,6 @@ func main() {
 		format     = flag.String("format", "csv", "output format: csv, json or bin (MTTR columnar binary with embedded summary)")
 		fitBS      = flag.Int("fit-bs", 20, "base stations in the fitting simulation")
 		fitDays    = flag.Int("fit-days", 3, "days in the fitting simulation")
-		sampler    = flag.String("sampler", "v2", "fitting-simulation sampling engine: v2 (fast, table-driven) or v1 (historical byte-for-byte stream)")
 		genEngine  = flag.String("gen", "v2", "generation engine: v2 (fast, table-driven) or v1 (historical byte-for-byte stream)")
 		workers    = flag.Int("workers", 0, "generate per-day cells on the parallel campaign plane with this many workers (-1 = all CPUs; 0 = the historical serial single-stream path; v2 only)")
 		mAddr      = flag.String("metrics-addr", "", "serve /metrics, /statusz, /events and /debug/pprof on this address (e.g. :9090)")
@@ -73,7 +72,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fitting models on the bundled measurement simulation...")
 		var err error
 		set, err = mobiletraffic.FitFromSimulation(mobiletraffic.SimulationConfig{
-			NumBS: *fitBS, Days: *fitDays, Seed: *seed, Sampler: *sampler,
+			NumBS: *fitBS, Days: *fitDays, Seed: *seed,
 		})
 		if err != nil {
 			fatal(err)

@@ -323,44 +323,6 @@ func TestNewGeneratorDoesNotMutateModelSet(t *testing.T) {
 	}
 }
 
-// TestGenerateBatchMatchesMinuteAppend checks the bulk fill is exactly
-// the per-minute sequence.
-func TestGenerateBatchMatchesMinuteAppend(t *testing.T) {
-	peaks := make([]bool, 60)
-	for i := range peaks {
-		peaks[i] = i%2 == 0
-	}
-	for _, engine := range []Engine{GenV1, GenV2} {
-		ga, err := NewGeneratorEngine(goldenModelSet(), 77, engine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gb, err := NewGeneratorEngine(goldenModelSet(), 77, engine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch, err := ga.GenerateBatch(nil, 1, peaks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var loop []GenSession
-		for _, p := range peaks {
-			loop, err = gb.MinuteAppend(loop, 1, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if len(batch) != len(loop) {
-			t.Fatalf("%s: batch %d vs loop %d sessions", engine, len(batch), len(loop))
-		}
-		for i := range batch {
-			if batch[i] != loop[i] {
-				t.Fatalf("%s: session %d: %+v vs %+v", engine, i, batch[i], loop[i])
-			}
-		}
-	}
-}
-
 // TestSessionForBounds checks the index-based draw validates its range
 // on both engines and agrees with the name-based Session draw.
 func TestSessionForBounds(t *testing.T) {

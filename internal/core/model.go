@@ -378,20 +378,6 @@ func growSessions(dst []GenSession, n int) []GenSession {
 	return grown
 }
 
-// GenerateBatch appends one minute of sessions per entry of peaks
-// (all for the same load class) to dst, returning the extended slice —
-// the bulk form of MinuteAppend for trace fills.
-func (g *Generator) GenerateBatch(dst []GenSession, class int, peaks []bool) ([]GenSession, error) {
-	var err error
-	for _, peak := range peaks {
-		dst, err = g.MinuteAppend(dst, class, peak)
-		if err != nil {
-			return dst, err
-		}
-	}
-	return dst, nil
-}
-
 // SessionFor generates a single session of the service at the given
 // index — the hot-path form of Session, pairing with PickServiceIndex
 // without a name round-trip.

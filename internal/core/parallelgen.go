@@ -256,21 +256,6 @@ func (g *Generator) GenerateCampaignFold(spec CampaignSpec, visit func(*DayBlock
 	return err
 }
 
-// GenerateDays is the single-BS convenience form of GenerateCampaign:
-// days day-blocks for one BS of the given load class (an index into
-// the model set's arrival models), keyed by the class.
-func (g *Generator) GenerateDays(class, days, workers int) ([]DayBlock, error) {
-	if class < 0 || class >= len(g.Set.Arrivals) {
-		return nil, fmt.Errorf("core: arrival class %d out of range [0, %d)", class, len(g.Set.Arrivals))
-	}
-	return g.GenerateCampaign(CampaignSpec{
-		Arrivals: []*ArrivalModel{g.Set.Arrivals[class]},
-		Keys:     []uint64{uint64(class)},
-		Days:     days,
-		Workers:  workers,
-	})
-}
-
 // expectedCellSessions estimates the mean session count of one
 // (BS, day) cell from the arrival model and the phase-weight profile:
 // each minute contributes the phase-weighted mix of the daytime

@@ -315,22 +315,27 @@ func TestSubstreamIndependence(t *testing.T) {
 	}
 }
 
-// TestGenerateDaysOffsets pins the CSR invariants of the DayBlock
-// layout: monotone offsets closing at the session count, start times
-// inside the owning minute, and positive volumes/durations within the
-// model support.
-func TestGenerateDaysOffsets(t *testing.T) {
+// TestGenerateCampaignOffsets pins the CSR invariants of the DayBlock
+// layout on a one-BS, two-day campaign: monotone offsets closing at the
+// session count, start times inside the owning minute, and positive
+// volumes/durations within the model support.
+func TestGenerateCampaignOffsets(t *testing.T) {
 	set := goldenModelSet()
 	g, err := NewGenerator(set, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := g.GenerateDays(1, 2, 3)
+	blocks, err := g.GenerateCampaign(CampaignSpec{
+		Arrivals: []*ArrivalModel{set.Arrivals[1]},
+		Keys:     []uint64{1},
+		Days:     2,
+		Workers:  3,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(blocks) != 2 {
-		t.Fatalf("GenerateDays(1, 2, 3) returned %d blocks, want 2", len(blocks))
+		t.Fatalf("one-BS two-day campaign returned %d blocks, want 2", len(blocks))
 	}
 	for i := range blocks {
 		b := &blocks[i]

@@ -25,14 +25,28 @@ func buildMeasurement(t *testing.T, cfg netsim.SimConfig, numBS int) (*probe.Col
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.GenerateAll(func(s netsim.Session) {
-		if err := coll.Observe(s); err != nil {
-			t.Fatal(err)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	observeAll(t, sim, coll, nil)
 	return coll, sim
+}
+
+// observeAll samples every (BS, day) cell of the simulator's campaign
+// into coll through the columnar ingest, skipping the BSs in dark.
+func observeAll(t *testing.T, sim *netsim.Simulator, coll *probe.Collector, dark map[int]bool) {
+	t.Helper()
+	var cols netsim.DayColumns
+	for day := 0; day < sim.Config.Days; day++ {
+		for bs := range sim.Topo.BSs {
+			if dark[bs] {
+				continue
+			}
+			if err := sim.SampleDayColumns(bs, day, &cols); err != nil {
+				t.Fatal(err)
+			}
+			if err := coll.ObserveColumns(bs, day, &cols); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }
 
 // TestPipelineRecoversGroundTruth is the central oracle test of the
@@ -299,16 +313,7 @@ func TestFitArrivalsByDecileReportBackfillsDarkClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.GenerateAll(func(s netsim.Session) {
-		if dark[s.BS] {
-			return
-		}
-		if err := coll.Observe(s); err != nil {
-			t.Fatal(err)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	observeAll(t, sim, coll, dark)
 	models, report, err := FitArrivalsByDecileReport(coll, topo)
 	if err != nil {
 		t.Fatalf("dark classes must not abort the arrival fit: %v", err)

@@ -41,6 +41,55 @@ func KSTwoSample(a, b []float64) (d, pvalue float64, err error) {
 	return d, pvalue, nil
 }
 
+// cdfSlack is the rounding KSOneSample tolerates in a reference CDF's
+// range: a mixture of CDFs summed in floating point can stray from
+// [0, 1] by a few ulps.
+const cdfSlack = 1e-9
+
+// KSOneSample computes the one-sample Kolmogorov-Smirnov statistic of
+// sample against a reference distribution — the supremum distance
+// between the sample's empirical CDF and cdf — together with the
+// asymptotic p-value of the null hypothesis that the sample was drawn
+// from it. It tests simulated marginals against their analytic ground
+// truth.
+//
+// cdf must be non-decreasing and right-continuous with values in
+// [0, 1] (up to rounding); NaN values are rejected. It may jump, e.g. at a clamp boundary that collects a point
+// mass: the distance just below each distinct sample value is taken
+// against cdf's left limit, evaluated at the next float down, so
+// samples tied on an atom are not charged its mass. With atoms the
+// asymptotic p-value is conservative.
+func KSOneSample(sample []float64, cdf func(float64) float64) (d, pvalue float64, err error) {
+	if len(sample) == 0 {
+		return 0, 0, fmt.Errorf("dist: KS needs a non-empty sample")
+	}
+	if cdf == nil {
+		return 0, 0, fmt.Errorf("dist: KS needs a reference CDF")
+	}
+	xs := append([]float64(nil), sample...)
+	sort.Float64s(xs)
+	if math.IsNaN(xs[0]) {
+		return 0, 0, fmt.Errorf("dist: KS sample contains NaN")
+	}
+	n := float64(len(xs))
+	for i := 0; i < len(xs); {
+		x := xs[i]
+		j := i + 1
+		for j < len(xs) && xs[j] == x {
+			j++
+		}
+		// The empirical CDF steps from i/n to j/n at x.
+		below, at := cdf(math.Nextafter(x, math.Inf(-1))), cdf(x)
+		if !(below >= -cdfSlack && at <= 1+cdfSlack) {
+			return 0, 0, fmt.Errorf("dist: reference CDF leaves [0, 1] at %v (%v, %v)", x, below, at)
+		}
+		d = math.Max(d, math.Max(float64(j)/n-at, below-float64(i)/n))
+		i = j
+	}
+	en := math.Sqrt(n)
+	return d, ksSurvival((en + 0.12 + 0.11/en) * d), nil
+}
+
 // ksSurvival evaluates the Kolmogorov distribution's survival function
 // Q(lambda) = 2 sum_{k>=1} (-1)^{k-1} exp(-2 k^2 lambda^2).
 func ksSurvival(lambda float64) float64 {

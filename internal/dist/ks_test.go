@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -83,5 +84,88 @@ func TestKSTwoSampleUnequalSizes(t *testing.T) {
 	}
 	if d > 0.12 || p < 0.01 {
 		t.Errorf("unequal-size same-dist: d=%v p=%v", d, p)
+	}
+}
+
+func TestKSOneSampleMatchesAndRejects(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	sample := make([]float64, 5000)
+	for i := range sample {
+		sample[i] = rng.NormFloat64()
+	}
+	std := Normal{Mu: 0, Sigma: 1}.CDF
+	d, p, err := KSOneSample(sample, std)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p < 0.01 {
+		t.Errorf("true-CDF KS: D=%v p=%v, want not rejected", d, p)
+	}
+	// A tenth-of-a-sigma location error is visible at this sample size
+	// (expected D ~ 0.04 against a 1e-4 critical value near 0.03).
+	d, p, err = KSOneSample(sample, Normal{Mu: 0.1, Sigma: 1}.CDF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p > 1e-4 {
+		t.Errorf("mis-scaled CDF KS: D=%v p=%v, want rejected", d, p)
+	}
+}
+
+// TestKSOneSampleExactStatistic checks D against a hand-computed
+// value: samples {0.1, 0.4, 0.7} against Uniform(0, 1) have
+// D = max(1/3-0.1, 0.4-1/3, 2/3-0.4, 0.7-2/3, 1-0.7) = 0.3.
+func TestKSOneSampleExactStatistic(t *testing.T) {
+	d, _, err := KSOneSample([]float64{0.7, 0.1, 0.4}, Uniform{Lo: 0, Hi: 1}.CDF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(d-0.3) > 1e-15 {
+		t.Errorf("D = %v, want 0.3", d)
+	}
+}
+
+// TestKSOneSamplePointMass checks that samples tied on an atom of the
+// reference CDF are measured against its left limit: a standard normal
+// clamped at 1 matches a sample clamped the same way, while a CDF
+// without the atom is rejected.
+func TestKSOneSamplePointMass(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	sample := make([]float64, 20000)
+	for i := range sample {
+		sample[i] = math.Min(rng.NormFloat64(), 1)
+	}
+	std := Normal{Mu: 0, Sigma: 1}.CDF
+	clamped := func(x float64) float64 {
+		if x >= 1 {
+			return 1
+		}
+		return std(x)
+	}
+	d, p, err := KSOneSample(sample, clamped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p < 0.01 {
+		t.Errorf("clamped CDF: D=%v p=%v, want not rejected", d, p)
+	}
+	if d, p, _ := KSOneSample(sample, std); p > 1e-6 {
+		t.Errorf("CDF without the atom: D=%v p=%v, want rejected", d, p)
+	}
+}
+
+func TestKSOneSampleValidation(t *testing.T) {
+	std := Normal{Mu: 0, Sigma: 1}.CDF
+	if _, _, err := KSOneSample(nil, std); err == nil {
+		t.Error("empty sample must error")
+	}
+	if _, _, err := KSOneSample([]float64{1}, nil); err == nil {
+		t.Error("nil CDF must error")
+	}
+	if _, _, err := KSOneSample([]float64{1, math.NaN()}, std); err == nil {
+		t.Error("NaN sample must error")
+	}
+	if _, _, err := KSOneSample([]float64{1}, func(float64) float64 { return 2 }); err == nil {
+		t.Error("CDF above 1 must error")
 	}
 }

@@ -16,7 +16,7 @@ import (
 	"mobiletraffic/internal/netsim"
 )
 
-// Per-worker collect() footprint ceilings, calibrated at ~1.5x the
+// Per-worker Collect() footprint ceilings, calibrated at ~1.5x the
 // measured steady-state of the 20-BS, 7-day campaign below: the
 // partial collector's dense slabs dominate (one DayStats per touched
 // (service, BS, day) cell), plus the worker's DayColumns scratch.
@@ -39,12 +39,12 @@ func TestCollectAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm run: lazy simulator state (phase tables, alias tables).
-	if _, err := collect(sim, days, nil); err != nil {
+	if _, err := Collect(sim, days, nil); err != nil {
 		t.Fatal(err)
 	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	coll, err := collect(sim, days, nil)
+	coll, err := Collect(sim, days, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

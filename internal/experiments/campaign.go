@@ -45,8 +45,8 @@ type CampaignOptions struct {
 // manifest's config-hash tag: the same checkpoint directory must never
 // be resumed under a different workload.
 func campaignTag(c Config, numServices int) string {
-	return fmt.Sprintf("bs=%d days=%d seed=%d move=%g sampler=%s services=%d volgrid=%d durgrid=%d",
-		c.NumBS, c.Days, c.Seed, c.MoveProb, c.Sampler, numServices,
+	return fmt.Sprintf("bs=%d days=%d seed=%d move=%g services=%d volgrid=%d durgrid=%d",
+		c.NumBS, c.Days, c.Seed, c.MoveProb, numServices,
 		len(probe.DefaultVolumeEdges), len(probe.DefaultDurationEdges))
 }
 
@@ -124,7 +124,6 @@ func NewEnvSharded(ctx context.Context, cfg Config, opts CampaignOptions) (*Env,
 		Days:     c.Days,
 		Seed:     c.Seed,
 		MoveProb: c.MoveProb,
-		Sampler:  c.Sampler,
 	})
 	simSpan.End()
 	if err != nil {

@@ -101,7 +101,7 @@ func ExpChaos(env *Env, cfg ChaosConfig) (*ChaosResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: chaos level %v: %w", level, err)
 		}
-		coll, err := collect(env.Sim, env.Config.Days, inj)
+		coll, err := Collect(env.Sim, env.Config.Days, inj)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: chaos collection at intensity %v: %w", level, err)
 		}

@@ -7,7 +7,6 @@ import (
 
 	"mobiletraffic/internal/core"
 	"mobiletraffic/internal/netsim"
-	"mobiletraffic/internal/probe"
 	"mobiletraffic/internal/services"
 )
 
@@ -79,20 +78,9 @@ func ExpDrift(env *Env) (*DriftResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	coll, err := probe.NewCollector(len(sim.Services))
+	coll, err := Collect(sim, env.Config.Days, nil)
 	if err != nil {
 		return nil, err
-	}
-	var obsErr error
-	if err := sim.GenerateAll(func(s netsim.Session) {
-		if obsErr == nil {
-			obsErr = coll.Observe(s)
-		}
-	}); err != nil {
-		return nil, err
-	}
-	if obsErr != nil {
-		return nil, obsErr
 	}
 	drifted, err := core.FitServiceModels(coll, sim.Services, nil)
 	if err != nil {

@@ -26,10 +26,6 @@ type Config struct {
 	// 0.25; negative disables UE mobility, useful for ground-truth
 	// recovery oracles).
 	MoveProb float64
-	// Sampler selects the synthesis-engine stream version (default
-	// netsim.SamplerV2; netsim.SamplerV1 reproduces the historical
-	// session stream byte for byte).
-	Sampler netsim.Sampler
 }
 
 func (c Config) withDefaults() Config {
@@ -75,13 +71,12 @@ func NewEnv(cfg Config) (*Env, error) {
 		Days:     c.Days,
 		Seed:     c.Seed,
 		MoveProb: c.MoveProb,
-		Sampler:  c.Sampler,
 	})
 	simSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: simulator: %w", err)
 	}
-	coll, err := collect(sim, c.Days, nil)
+	coll, err := Collect(sim, c.Days, nil)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: collect: %w", err)
 	}

@@ -40,7 +40,7 @@ func TestCollectInstrumentationExactness(t *testing.T) {
 	defer obs.SetDefault(old)
 
 	sim, days := obsTestSim(t, 9)
-	coll, err := collect(sim, days, nil)
+	coll, err := Collect(sim, days, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestInstrumentationDoesNotPerturbFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coll, err := collect(sim, days, inj)
+		coll, err := Collect(sim, days, inj)
 		if err != nil {
 			t.Fatal(err)
 		}

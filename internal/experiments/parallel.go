@@ -83,9 +83,11 @@ func forEachBS(numBS, workers int, work func(worker, bs int) error) error {
 	return nil
 }
 
-// collect runs the measurement campaign with one worker per CPU: each
+// Collect runs the measurement campaign with one worker per CPU: each
 // worker simulates whole base stations into its own collector and the
-// partial collectors are merged afterwards. The per-(BS, day) random
+// partial collectors are merged afterwards. It is the one simulated
+// path into the collector — SampleDayColumns → DayStream.ApplyColumns
+// → ObserveColumns per (BS, day), then MergeAll. The per-(BS, day) random
 // streams of the simulator are independent, and merging is
 // order-insensitive, so the result is bit-identical to a serial run.
 //
@@ -97,7 +99,7 @@ func forEachBS(numBS, workers int, work func(worker, bs int) error) error {
 // streams are derived per cell from the injector's own seed, so
 // realizations are identical regardless of worker count — and of
 // whether instrumentation is enabled.
-func collect(sim *netsim.Simulator, days int, inj *faults.Injector) (*probe.Collector, error) {
+func Collect(sim *netsim.Simulator, days int, inj *faults.Injector) (*probe.Collector, error) {
 	span := obs.StartSpan("collect")
 	defer span.End()
 	numBS := len(sim.Topo.BSs)
@@ -111,8 +113,8 @@ func collect(sim *netsim.Simulator, days int, inj *faults.Injector) (*probe.Coll
 
 	// Partials are pre-sized to the campaign extent so the dense cell
 	// slabs never re-layout mid-collection, and each worker reuses one
-	// collection scratch (columnar sampler/fault buffers, or the v1
-	// session batch buffer) across its whole share of the campaign.
+	// collection scratch (columnar sampler and fault buffers) across
+	// its whole share of the campaign.
 	partials := make([]*probe.Collector, workers)
 	scratches := make([]*collectScratch, workers)
 	for w := range partials {
@@ -152,14 +154,12 @@ func collect(sim *netsim.Simulator, days int, inj *faults.Injector) (*probe.Coll
 }
 
 // collectScratch bundles the reusable per-worker buffers of the
-// collection path: the columnar sampler output and fault-filtered
-// columns of the v2 pipeline, and the session batch buffer of the v1
-// scalar fallback. One scratch is owned by exactly one worker (or
-// shard attempt) and reused across its whole campaign share.
+// collection path: the columnar sampler output and the fault-filtered
+// columns. One scratch is owned by exactly one worker (or shard
+// attempt) and reused across its whole campaign share.
 type collectScratch struct {
 	cols    netsim.DayColumns // SampleDayColumns output
 	faulted netsim.DayColumns // ApplyColumns output when faults are injected
-	buf     []netsim.Session  // v1 generation batch buffer
 }
 
 // newCollectScratch builds one worker's scratch for a campaign over
@@ -169,10 +169,6 @@ type collectScratch struct {
 // campaign share runs without a single column re-allocation.
 func newCollectScratch(sim *netsim.Simulator, faulted bool) *collectScratch {
 	sc := &collectScratch{}
-	if sim.Config.Sampler == netsim.SamplerV1 {
-		sc.buf = make([]netsim.Session, 0, netsim.SessionBatchSize)
-		return sc
-	}
 	bound := sim.MaxDaySessions()
 	sc.cols.SkipStart = true
 	sc.cols.Resize(bound)
@@ -187,17 +183,13 @@ func newCollectScratch(sim *netsim.Simulator, faulted bool) *collectScratch {
 
 // collectBS simulates every day of one base station into coll, routing
 // each cell through the optional fault injector's per-(BS, day)
-// stream. On sampler v2 (the default) the whole (BS, day) flows as
-// columns — SampleDayColumns → DayStream.ApplyColumns →
-// ObserveColumns — with no per-session Session materialization; the v1
-// golden stream keeps the scalar batch path. It is the shared per-BS
-// body of the in-process parallel collector (collect) and the sharded
-// campaign workers (CollectSharded) — both therefore observe
-// bit-identical cell statistics for a given (BS, day).
+// stream. The whole (BS, day) flows as columns — SampleDayColumns →
+// DayStream.ApplyColumns → ObserveColumns — with no per-session
+// Session materialization. It is the shared per-BS body of the
+// in-process parallel collector (Collect) and the sharded campaign
+// workers (CollectSharded) — both therefore observe bit-identical cell
+// statistics for a given (BS, day).
 func collectBS(sim *netsim.Simulator, coll *probe.Collector, sc *collectScratch, inj *faults.Injector, bs, days int) error {
-	if sim.Config.Sampler == netsim.SamplerV1 {
-		return collectBSScalar(sim, coll, sc.buf, inj, bs, days)
-	}
 	for day := 0; day < days; day++ {
 		var stream *faults.DayStream
 		if inj != nil {
@@ -215,39 +207,6 @@ func collectBS(sim *netsim.Simulator, coll *probe.Collector, sc *collectScratch,
 			cols = &sc.faulted
 		}
 		if err := coll.ObserveColumns(bs, day, cols); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// collectBSScalar is the v1 per-BS collection body: batched session
-// generation through the scalar Observe path, kept verbatim so the
-// golden v1 stream flows through exactly the code it always has.
-func collectBSScalar(sim *netsim.Simulator, coll *probe.Collector, buf []netsim.Session, inj *faults.Injector, bs, days int) error {
-	for day := 0; day < days; day++ {
-		var stream *faults.DayStream
-		if inj != nil {
-			stream = inj.Day(bs, day)
-			if stream.Down() {
-				continue // whole-day probe outage: nothing is exported
-			}
-		}
-		flush := coll.ObserveBatch
-		if stream != nil {
-			flush = func(batch []netsim.Session) error {
-				var obsErr error
-				for i := range batch {
-					stream.Apply(batch[i], func(s netsim.Session) {
-						if obsErr == nil {
-							obsErr = coll.Observe(s)
-						}
-					})
-				}
-				return obsErr
-			}
-		}
-		if err := sim.GenerateDayBatch(bs, day, buf, flush); err != nil {
 			return err
 		}
 	}

@@ -158,7 +158,7 @@ func TestCollectFaultyMatchesSerialInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := collect(sim, days, injPar)
+	par, err := Collect(sim, days, injPar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +171,21 @@ func TestCollectFaultyMatchesSerialInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The serial oracle: days outermost, every session of a cell routed
+	// one by one through that cell's fault stream into scalar Observe.
 	var obsErr error
-	yield := injSer.Wrap(func(s netsim.Session) {
+	observe := func(s netsim.Session) {
 		if obsErr == nil {
 			obsErr = ser.Observe(s)
 		}
-	})
-	if err := sim.GenerateAll(yield); err != nil {
-		t.Fatal(err)
+	}
+	for day := 0; day < days; day++ {
+		for bs := range topo.BSs {
+			stream := injSer.Day(bs, day)
+			if err := sim.GenerateDay(bs, day, func(s netsim.Session) { stream.Apply(s, observe) }); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if obsErr != nil {
 		t.Fatal(obsErr)

@@ -434,22 +434,3 @@ func (d *DayStream) geometric(mean float64) int {
 	}
 	return n
 }
-
-// Wrap adapts a serial session sink into a fault-injected one: the
-// returned yield function routes each session through the fault stream
-// of its (BS, day) cell, lazily creating streams as cells appear. The
-// wrapper is for serial collection (e.g. netsim.Simulator.GenerateAll);
-// parallel campaigns should call Day per cell from each worker.
-func (inj *Injector) Wrap(yield func(netsim.Session)) func(netsim.Session) {
-	type bsDay struct{ bs, day int }
-	streams := map[bsDay]*DayStream{}
-	return func(s netsim.Session) {
-		key := bsDay{s.BS, s.Day}
-		d, ok := streams[key]
-		if !ok {
-			d = inj.Day(s.BS, s.Day)
-			streams[key] = d
-		}
-		d.Apply(s, yield)
-	}
-}

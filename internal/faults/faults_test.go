@@ -54,9 +54,9 @@ func TestZeroConfigPassesEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []netsim.Session
-	yield := inj.Wrap(func(s netsim.Session) { got = append(got, s) })
+	d := inj.Day(2, 1)
 	for m := 0; m < 100; m++ {
-		yield(session(2, 1, m*14%netsim.MinutesPerDay, m%5))
+		d.Apply(session(2, 1, m*14%netsim.MinutesPerDay, m%5), func(s netsim.Session) { got = append(got, s) })
 	}
 	if len(got) != 100 {
 		t.Fatalf("zero config must pass all sessions, got %d/100", len(got))
@@ -160,9 +160,9 @@ func TestFlowLossAndDuplicationRates(t *testing.T) {
 	}
 	const n = 20000
 	emitted := 0
-	yield := inj.Wrap(func(netsim.Session) { emitted++ })
+	d := inj.Day(0, 0)
 	for i := 0; i < n; i++ {
-		yield(session(i%7, i%3, i%netsim.MinutesPerDay, i%3))
+		d.Apply(session(0, 0, i%netsim.MinutesPerDay, i%3), func(netsim.Session) { emitted++ })
 	}
 	st := inj.Stats()
 	if lossRate := float64(st.Lost) / n; math.Abs(lossRate-0.2) > 0.02 {
@@ -241,9 +241,9 @@ func TestSignalGapDrops(t *testing.T) {
 	}
 	const n = 10000
 	kept := 0
-	yield := inj.Wrap(func(netsim.Session) { kept++ })
+	d := inj.Day(0, 0)
 	for i := 0; i < n; i++ {
-		yield(session(0, 0, i%netsim.MinutesPerDay, 0))
+		d.Apply(session(0, 0, i%netsim.MinutesPerDay, 0), func(netsim.Session) { kept++ })
 	}
 	st := inj.Stats()
 	if rate := float64(st.Unreferenced) / n; math.Abs(rate-0.15) > 0.02 {

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"math"
-	"math/rand"
 
 	"mobiletraffic/internal/mathx"
 )
@@ -31,56 +30,24 @@ func DayWeight(minute int) float64 {
 	return rise * fall
 }
 
-// ArrivalCount draws the number of new sessions established at the BS
-// during the given minute of day. During daylight hours counts follow a
-// Gaussian with mean PeakRate and deviation PeakRate/10 (the paper's
-// sigma ~ mu/10 regularity); overnight they follow a Pareto with shape
-// 1.765 and the BS's off-peak scale. The two regimes mix through the
-// steep logistic phase weight, which makes intermediate rates rare and
-// the per-minute count PDF bi-modal as in Fig. 3.
-func ArrivalCount(bs *BS, minute int, rng *rand.Rand) int {
-	return arrivalCount(bs, DayWeight(minute), rng)
-}
-
 // offPeakExp is the precomputed inverse-CDF Pareto exponent.
 const offPeakExp = -1 / OffPeakParetoShape
 
-// arrivalCount is ArrivalCount with the phase weight supplied by the
-// caller, so the per-day generation loop can read it from the
-// simulator's precomputed minute table instead of paying two math.Exp
-// logistic evaluations per minute. The draw sequence is identical to
-// ArrivalCount's.
-func arrivalCount(bs *BS, w float64, rng *rand.Rand) int {
-	var rate float64
-	if rng.Float64() < w {
-		rate = bs.PeakRate + bs.PeakRate/10*rng.NormFloat64()
-	} else {
-		// Inverse-CDF Pareto draw.
-		rate = bs.OffPeakScale * math.Pow(1-rng.Float64(), offPeakExp)
-		// The off-peak mode must stay below the daytime plateau: clamp
-		// the heavy tail at a fraction of the peak rate.
-		if clamp := bs.PeakRate * 0.5; rate > clamp {
-			rate = clamp
-		}
-	}
-	if rate <= 0 {
-		return 0
-	}
-	n := int(math.Round(rate))
-	if n < 0 {
-		return 0
-	}
-	return n
-}
-
-// arrivalCountFast is arrivalCount on the sampler-v2 PCG stream: same
-// bi-modal mixture, same clamps, different (but identically
-// distributed) randomness.
+// arrivalCountFast draws the number of new sessions established at the
+// BS during one minute whose day-phase weight is w. During daylight
+// hours counts follow a Gaussian with mean PeakRate and deviation
+// PeakRate/10 (the paper's sigma ~ mu/10 regularity); overnight they
+// follow a Pareto with shape 1.765 and the BS's off-peak scale, clamped
+// at half the peak rate. The two regimes mix through the steep logistic
+// phase weight, which makes intermediate rates rare and the per-minute
+// count PDF bi-modal as in Fig. 3.
 func arrivalCountFast(bs *BS, w float64, rng *mathx.PCG) int {
 	var rate float64
 	if rng.Float64() < w {
 		rate = bs.PeakRate + bs.PeakRate/10*rng.NormFloat64()
 	} else {
+		// Inverse-CDF Pareto draw; the off-peak mode must stay below
+		// the daytime plateau, so its heavy tail is clamped.
 		rate = bs.OffPeakScale * math.Pow(1-rng.Float64(), offPeakExp)
 		if clamp := bs.PeakRate * 0.5; rate > clamp {
 			rate = clamp

@@ -210,11 +210,8 @@ func computeMaxDaySessions(topo *Topology, cfg SimConfig, phase []float64) int {
 
 // SampleDayColumns synthesizes all sessions established at the BS (by
 // topology index) during the given day into cols, replacing its
-// contents. It is the columnar form of the sampler-v2 engine — the
-// per-(BS, day) stream is deterministic in the simulator seed and is
-// the same stream GenerateDay materializes — and is only available on
-// sampler v2 (the v1 stream is pinned scalar draw by scalar draw by
-// TestSamplerV1GoldenStream and cannot be batched without changing it).
+// contents. The per-(BS, day) stream is deterministic in the simulator
+// seed and is the same stream GenerateDay yields session by session.
 // cols is caller scratch, reusable across calls and across (BS, day)
 // cells; distinct cols values may be used from concurrent goroutines.
 func (s *Simulator) SampleDayColumns(bsIdx, day int, cols *DayColumns) error {
@@ -227,14 +224,11 @@ func (s *Simulator) SampleDayColumns(bsIdx, day int, cols *DayColumns) error {
 	if day < 0 {
 		return fmt.Errorf("netsim: negative day %d", day)
 	}
-	if s.Config.Sampler != SamplerV2 {
-		return fmt.Errorf("netsim: columnar sampling requires sampler %s (configured %s)", SamplerV2, s.Config.Sampler)
-	}
 	s.sampleDayColumns(bsIdx, day, cols)
 	return nil
 }
 
-// sampleDayColumns is the sampler-v2 columnar engine. The day is drawn
+// sampleDayColumns is the columnar sampling engine. The day is drawn
 // as a fixed sequence of rectangles: (1) the scalar per-minute arrival
 // counts, (2) one uniform rectangle mapped through the BS's alias table
 // to service picks, (3) per service in catalog order, the volume

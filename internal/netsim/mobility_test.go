@@ -71,31 +71,6 @@ func TestSimulateMobilityDeterministic(t *testing.T) {
 	}
 }
 
-func TestGenerateAllCoversAllBSsAndDays(t *testing.T) {
-	topo, err := NewTopology(TopologyConfig{NumBS: 10, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := NewSimulator(topo, SimConfig{Days: 2, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type cell struct{ bs, day int }
-	seen := map[cell]bool{}
-	if err := sim.GenerateAll(func(s Session) {
-		seen[cell{s.BS, s.Day}] = true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for bs := 0; bs < 10; bs++ {
-		for day := 0; day < 2; day++ {
-			if !seen[cell{bs, day}] {
-				t.Errorf("no sessions for BS %d day %d", bs, day)
-			}
-		}
-	}
-}
-
 func TestNewSimulatorWithCatalogValidation(t *testing.T) {
 	topo, err := NewTopology(TopologyConfig{NumBS: 10, Seed: 1})
 	if err != nil {

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"mobiletraffic/internal/mathx"
@@ -113,11 +112,13 @@ func TestDayWeightShape(t *testing.T) {
 
 func TestArrivalCountBimodal(t *testing.T) {
 	bs := &BS{PeakRate: 40, OffPeakScale: 2}
-	rng := rand.New(rand.NewSource(3))
+	var rng mathx.PCG
+	rng.SeedStream(3, 0, 0)
+	wDay, wNight := DayWeight(14*60), DayWeight(3*60)
 	var day, night []float64
 	for trial := 0; trial < 4000; trial++ {
-		day = append(day, float64(ArrivalCount(bs, 14*60, rng)))
-		night = append(night, float64(ArrivalCount(bs, 3*60, rng)))
+		day = append(day, float64(arrivalCountFast(bs, wDay, &rng)))
+		night = append(night, float64(arrivalCountFast(bs, wNight, &rng)))
 	}
 	dm, nm := mathx.Mean(day), mathx.Mean(night)
 	if math.Abs(dm-40) > 2 {
@@ -371,9 +372,10 @@ func TestWeekendScaling(t *testing.T) {
 
 func TestArrivalCountNeverNegativeAtTinyRates(t *testing.T) {
 	bs := &BS{PeakRate: 0.3, OffPeakScale: 0.05}
-	rng := rand.New(rand.NewSource(5))
+	var rng mathx.PCG
+	rng.SeedStream(5, 0, 0)
 	for i := 0; i < 20000; i++ {
-		if n := ArrivalCount(bs, i%MinutesPerDay, rng); n < 0 {
+		if n := arrivalCountFast(bs, DayWeight(i%MinutesPerDay), &rng); n < 0 {
 			t.Fatalf("negative count %d", n)
 		}
 	}

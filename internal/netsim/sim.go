@@ -37,38 +37,6 @@ func (s *Session) Throughput() float64 {
 	return s.Volume / s.Duration
 }
 
-// Sampler selects the versioned sampling engine that turns the
-// deterministic per-(BS, day) seed into a session stream. Both
-// versions synthesize the same ground-truth distributions; they differ
-// in which random draws realize them (see DESIGN.md "Sampler streams
-// and determinism").
-type Sampler string
-
-// Sampler stream versions.
-const (
-	// SamplerV1 is the original math/rand stream: every session draw is
-	// byte-for-byte identical to the pre-versioning simulator, pinned by
-	// TestSamplerV1GoldenStream. Use it to reproduce historical runs.
-	SamplerV1 Sampler = "v1"
-	// SamplerV2 is the fast default: a table-driven engine (PCG RNG,
-	// per-BS alias tables, single-Exp log-domain sampling) that is
-	// statistically equivalent to v1 — same marginals, different draw
-	// mapping — and roughly halves synthesis cost.
-	SamplerV2 Sampler = "v2"
-)
-
-// ParseSampler validates a sampler version string; the empty string
-// selects the default (v2).
-func ParseSampler(s string) (Sampler, error) {
-	switch Sampler(s) {
-	case "":
-		return SamplerV2, nil
-	case SamplerV1, SamplerV2:
-		return Sampler(s), nil
-	}
-	return "", fmt.Errorf("netsim: unknown sampler version %q (want v1 or v2)", s)
-}
-
 // SimConfig configures session synthesis. Zero values take documented
 // defaults.
 type SimConfig struct {
@@ -90,10 +58,6 @@ type SimConfig struct {
 	// §4.4 finds workday/weekend session-level statistics
 	// indistinguishable).
 	Weekend float64
-	// Sampler selects the sampling-engine stream version (default
-	// SamplerV2; SamplerV1 reproduces the historical session stream
-	// byte for byte).
-	Sampler Sampler
 	Seed    int64
 }
 
@@ -116,9 +80,6 @@ func (c SimConfig) withDefaults() SimConfig {
 	if c.Weekend <= 0 {
 		c.Weekend = 1
 	}
-	if c.Sampler == "" {
-		c.Sampler = SamplerV2
-	}
 	return c
 }
 
@@ -134,22 +95,21 @@ type Simulator struct {
 	baseProbs []float64
 	bsProbs   [][]float64
 	// bsAlias holds one Walker alias table per BS over that BS's
-	// jittered shares: the sampler-v2 categorical draw is O(1) instead
+	// jittered shares, so the categorical service draw is O(1) instead
 	// of an O(#services) cumulative scan.
 	bsAlias []*services.AliasTable
 	// phase is the precomputed 1440-entry DayWeight table: phase[m]
-	// stores the exact float DayWeight(m) returns, so both sampler
-	// streams read it in place of two math.Exp calls per minute without
-	// perturbing any draw.
+	// stores the exact float DayWeight(m) returns, so the sampler reads
+	// it in place of two math.Exp calls per minute.
 	phase []float64
-	// Workload accounting (netsim_*_total), batched per GenerateDay so
+	// Workload accounting (netsim_*_total), batched per sampled day so
 	// the per-session loop stays atomics-free; nil handles when
 	// instrumentation is disabled.
 	obsSessions *obs.Counter
 	obsSplits   *obs.Counter
-	// colsPool recycles the DayColumns scratch the v2 materializing
-	// path samples into; a pool (not a plain field) because GenerateDay
-	// may be called from concurrent workers.
+	// colsPool recycles the DayColumns scratch GenerateDay samples
+	// into; a pool (not a plain field) because GenerateDay may be
+	// called from concurrent workers.
 	colsPool sync.Pool
 	// maxDay is the analytic day-size bound MaxDaySessions returns,
 	// computed once at construction.
@@ -175,9 +135,6 @@ func NewSimulatorWithCatalog(topo *Topology, cfg SimConfig, profiles []services.
 		return nil, fmt.Errorf("netsim: empty service catalog")
 	}
 	c := cfg.withDefaults()
-	if c.Sampler != SamplerV1 && c.Sampler != SamplerV2 {
-		return nil, fmt.Errorf("netsim: unknown sampler version %q (want %q or %q)", c.Sampler, SamplerV1, SamplerV2)
-	}
 	var total float64
 	for _, p := range profiles {
 		if p.SessionSharePct < 0 {
@@ -276,149 +233,24 @@ func BSDayRNG(masterSeed int64, bsIdx, day int) *rand.Rand {
 	return rand.New(rand.NewSource(int64(seed)))
 }
 
-// dayRNG derives the simulator's deterministic per-(BS, day) random
-// stream so that days and BSs can be generated independently.
-func (s *Simulator) dayRNG(bsIdx, day int) *rand.Rand {
-	return BSDayRNG(s.Config.Seed, bsIdx, day)
-}
-
-// SessionBatchSize is the default yield granularity of
-// GenerateDayBatch: large enough to amortize the per-batch indirect
-// call over the per-session synthesis cost, small enough to keep a
-// worker's in-flight batch within L2.
-const SessionBatchSize = 512
-
 // GenerateDay synthesizes all sessions established at the BS (by
-// topology index) during the given day, invoking yield for each. The
-// per-(BS, day) stream is deterministic in the simulator seed.
+// topology index) during the given day, invoking yield for each in
+// minute-major order. It is the session-level view of SampleDayColumns:
+// the day is sampled into a pooled DayColumns scratch and each session
+// is read back out of the columns, so the stream is identical, session
+// for session, to the columnar one and deterministic in the simulator
+// seed. The pool keeps repeated calls free of per-day allocations.
 func (s *Simulator) GenerateDay(bsIdx, day int, yield func(Session)) error {
-	return s.GenerateDayBatch(bsIdx, day, nil, func(batch []Session) error {
-		for i := range batch {
-			yield(batch[i])
-		}
-		return nil
-	})
-}
-
-// GenerateDayBatch is the bulk counterpart of GenerateDay: sessions are
-// synthesized into a reusable buffer and yielded in batches, so the
-// per-session cost is an append rather than an indirect call. buf
-// optionally supplies the batch buffer (its capacity sets the batch
-// size; SessionBatchSize is used when nil) and may be reused across
-// calls. The yielded slice is only valid until yield returns; a
-// non-nil yield error aborts generation and is returned as-is. The
-// session stream — and the underlying random draws — are identical to
-// GenerateDay's.
-func (s *Simulator) GenerateDayBatch(bsIdx, day int, buf []Session, yield func([]Session) error) error {
-	if bsIdx < 0 || bsIdx >= len(s.Topo.BSs) {
-		return fmt.Errorf("netsim: BS index %d out of range [0, %d)", bsIdx, len(s.Topo.BSs))
-	}
-	if day < 0 {
-		return fmt.Errorf("netsim: negative day %d", day)
-	}
-	if cap(buf) == 0 {
-		buf = make([]Session, 0, SessionBatchSize)
-	}
-	buf = buf[:0]
-	if s.Config.Sampler == SamplerV1 {
-		weekendScale := 1.0
-		if IsWeekend(day) {
-			weekendScale = s.Config.Weekend
-		}
-		return s.generateDayV1(bsIdx, day, weekendScale, buf, yield)
-	}
-	return s.generateDayV2(bsIdx, day, buf, yield)
-}
-
-// generateDayV1 is the historical math/rand sampling engine, kept
-// byte-for-byte identical to the pre-versioning simulator (pinned by
-// TestSamplerV1GoldenStream): reading the phase weight from the
-// precomputed table and skipping the weekend rounding at n == 0 leave
-// every random draw untouched.
-func (s *Simulator) generateDayV1(bsIdx, day int, weekendScale float64, buf []Session, yield func([]Session) error) error {
-	bs := &s.Topo.BSs[bsIdx]
-	rng := s.dayRNG(bsIdx, day)
-	probs := s.bsProbs[bsIdx]
-	scaleWeekend := weekendScale != 1
-	var generated, split int64
-	// Batch the workload counters with the sessions: account whatever
-	// was synthesized even when a yield error aborts the day early.
-	defer func() {
-		s.obsSessions.Add(generated)
-		s.obsSplits.Add(split)
-	}()
-	for minute := 0; minute < MinutesPerDay; minute++ {
-		n := arrivalCount(bs, s.phase[minute], rng)
-		if n == 0 {
-			continue
-		}
-		if scaleWeekend {
-			n = int(math.Round(float64(n) * weekendScale))
-		}
-		for k := 0; k < n; k++ {
-			svc := services.PickService(probs, rng)
-			prof := &s.Services[svc]
-			volume := prof.SampleVolume(rng)
-			duration := prof.SampleDuration(volume, rng)
-			truncated := false
-			if rng.Float64() < s.Config.MoveProb {
-				dwell := rng.ExpFloat64() * s.Config.MeanDwell
-				if dwell < 1 {
-					dwell = 1
-				}
-				if dwell < duration {
-					// The BS only sees the dwell-time share of the
-					// session: volume pro-rated on served time.
-					volume *= dwell / duration
-					duration = dwell
-					truncated = true
-				}
-			}
-			generated++
-			if truncated {
-				split++
-			}
-			buf = append(buf, Session{
-				BS:        bsIdx,
-				Service:   svc,
-				Day:       day,
-				Minute:    minute,
-				Start:     float64(minute)*60 + rng.Float64()*60,
-				Duration:  duration,
-				Volume:    volume,
-				Truncated: truncated,
-			})
-			if len(buf) == cap(buf) {
-				if err := yield(buf); err != nil {
-					return err
-				}
-				buf = buf[:0]
-			}
-		}
-	}
-	if len(buf) > 0 {
-		return yield(buf)
-	}
-	return nil
-}
-
-// generateDayV2 is the table-driven sampling engine: the whole day is
-// synthesized by the columnar pipeline (sampleDayColumns — batch draw
-// kernels, per-BS alias table picks, single-Exp log-domain samplers)
-// into a pooled DayColumns scratch and then materialized into Session
-// values batch by batch. The stream differs from v1 draw by draw but
-// realizes the same ground-truth distributions
-// (TestSamplerV2StatEquivalence); it is identical, session for
-// session, to what SampleDayColumns exposes in columnar form.
-func (s *Simulator) generateDayV2(bsIdx, day int, buf []Session, yield func([]Session) error) error {
 	c := s.colsPool.Get().(*DayColumns)
 	defer s.colsPool.Put(c)
-	s.sampleDayColumns(bsIdx, day, c)
+	if err := s.SampleDayColumns(bsIdx, day, c); err != nil {
+		return err
+	}
 	for i, n := 0, c.N(); i < n; i++ {
 		// Value columns live in grouped order; the session's slot
 		// bridges back to emission order.
 		g := c.Slot[i]
-		buf = append(buf, Session{
+		yield(Session{
 			BS:        bsIdx,
 			Service:   int(c.Svc[i]),
 			Day:       day,
@@ -428,28 +260,6 @@ func (s *Simulator) generateDayV2(bsIdx, day int, buf []Session, yield func([]Se
 			Volume:    c.Volume[g],
 			Truncated: c.Truncated[i],
 		})
-		if len(buf) == cap(buf) {
-			if err := yield(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		return yield(buf)
-	}
-	return nil
-}
-
-// GenerateAll synthesizes every configured day for every BS, invoking
-// yield per session, days outermost.
-func (s *Simulator) GenerateAll(yield func(Session)) error {
-	for day := 0; day < s.Config.Days; day++ {
-		for b := range s.Topo.BSs {
-			if err := s.GenerateDay(b, day, yield); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }

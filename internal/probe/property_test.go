@@ -245,8 +245,10 @@ func TestDenseCollectorMatchesMapOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.ObserveBatch(sessions); err != nil {
-			t.Fatal(err)
+		for _, s := range sessions {
+			if err := c.Observe(s); err != nil {
+				t.Fatal(err)
+			}
 		}
 		o := newMapOracle(numSvc, c.VolumeEdges, c.DurationEdges)
 		for _, s := range sessions {
@@ -434,7 +436,7 @@ func requireCellsEqual(t *testing.T, label string, got, want *Collector) {
 	}
 }
 
-// newOracleSim builds a small v2 simulator whose columnar output (with
+// newOracleSim builds a small simulator whose columnar output (with
 // mobility truncation and the by-service grouping) drives the
 // ObserveColumns oracle tests.
 func newOracleSim(t *testing.T, numBS, days int, seed int64) *netsim.Simulator {
@@ -443,7 +445,7 @@ func newOracleSim(t *testing.T, numBS, days int, seed int64) *netsim.Simulator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := netsim.NewSimulator(topo, netsim.SimConfig{Days: days, Seed: seed, Sampler: netsim.SamplerV2})
+	sim, err := netsim.NewSimulator(topo, netsim.SimConfig{Days: days, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

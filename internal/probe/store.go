@@ -334,13 +334,18 @@ func (c *Collector) durBin(duration float64) int {
 }
 
 // Observe folds one session into the statistics. In steady state (cell
-// already touched) it performs no allocations.
+// already touched) it performs no allocations. A session with a
+// non-finite volume or duration is rejected: it has no histogram bin,
+// and it would poison the cell's duration-volume sums.
 func (c *Collector) Observe(s netsim.Session) error {
 	if s.Service < 0 || s.Service >= c.NumServices {
 		return fmt.Errorf("probe: session service %d out of range [0, %d)", s.Service, c.NumServices)
 	}
 	if s.Minute < 0 || s.Minute >= netsim.MinutesPerDay {
 		return fmt.Errorf("probe: session minute %d out of range", s.Minute)
+	}
+	if !mathx.IsFinite(s.Volume) || !mathx.IsFinite(s.Duration) {
+		return fmt.Errorf("probe: session volume %v or duration %v is not finite", s.Volume, s.Duration)
 	}
 	if s.BS < 0 || s.Day < 0 {
 		return fmt.Errorf("probe: session cell (%d, %d) out of range", s.BS, s.Day)
@@ -363,18 +368,6 @@ func (c *Collector) Observe(s netsim.Session) error {
 	st.DurCount[bin]++
 	if c.obsFlows != nil {
 		c.obsFlows[s.Service].Inc()
-	}
-	return nil
-}
-
-// ObserveBatch folds a batch of sessions, stopping at the first
-// invalid one. It is the bulk counterpart of Observe for batched
-// generation (netsim.GenerateDayBatch).
-func (c *Collector) ObserveBatch(batch []netsim.Session) error {
-	for i := range batch {
-		if err := c.Observe(batch[i]); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -402,7 +395,7 @@ func (c *Collector) ObserveBatch(batch []netsim.Session) error {
 // The grouping is trusted to describe Svc and the value-column layout
 // (netsim maintains both); ObserveColumns verifies only its structural
 // invariants and falls back to the ungrouped fold when they do not
-// hold. Unlike Observe/ObserveBatch, the columns are validated up
+// hold. Unlike Observe, the columns are validated up
 // front and nothing is folded when any session is invalid.
 func (c *Collector) ObserveColumns(bs, day int, cols *netsim.DayColumns) error {
 	if cols == nil {

@@ -14,9 +14,24 @@ import (
 // implementation; the tests here cover the services-package use: the
 // catalog share draw and the log-domain profile samplers.
 
-// TestAliasVsLinearScanChi2 is the sampler-v2 categorical-draw
-// equivalence check: the alias table fed by the PCG uniform stream and
-// the historical PickService cumulative scan fed by math/rand must draw
+// PickService draws a service index according to the probabilities
+// returned by SessionShareProbs by a cumulative linear scan: the
+// alias table's test oracle.
+func PickService(probs []float64, rng *rand.Rand) int {
+	u := rng.Float64()
+	var acc float64
+	for i, p := range probs {
+		acc += p
+		if u < acc {
+			return i
+		}
+	}
+	return len(probs) - 1
+}
+
+// TestAliasVsLinearScanChi2 is the categorical-draw equivalence check:
+// the alias table fed by the PCG uniform stream and the PickService
+// cumulative scan fed by math/rand must draw
 // the catalog's session shares from the same distribution. Both streams
 // are fixed-seed, so the chi-square p-values are deterministic.
 func TestAliasVsLinearScanChi2(t *testing.T) {

@@ -578,17 +578,3 @@ func SessionShareProbs() ([]Profile, []float64) {
 	}
 	return all, probs
 }
-
-// PickService draws a service index according to the probabilities
-// returned by SessionShareProbs.
-func PickService(probs []float64, rng *rand.Rand) int {
-	u := rng.Float64()
-	var acc float64
-	for i, p := range probs {
-		acc += p
-		if u < acc {
-			return i
-		}
-	}
-	return len(probs) - 1
-}

@@ -35,8 +35,10 @@ package mobiletraffic
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"mobiletraffic/internal/core"
+	"mobiletraffic/internal/experiments"
 	"mobiletraffic/internal/faults"
 	"mobiletraffic/internal/netsim"
 	"mobiletraffic/internal/probe"
@@ -150,10 +152,6 @@ type SimulationConfig struct {
 	// MoveProb is the share of transient (mobility-truncated) sessions;
 	// negative disables mobility.
 	MoveProb float64
-	// Sampler selects the synthesis-engine stream version: "" or "v2"
-	// for the fast table-driven default, "v1" for the historical
-	// byte-for-byte session stream (see netsim.Sampler).
-	Sampler string
 }
 
 // FitFromSimulation runs the bundled measurement simulation (a
@@ -185,12 +183,8 @@ func FitFromSimulationFaulty(cfg SimulationConfig, f FaultConfig) (*ModelSet, *F
 	if err != nil {
 		return nil, nil, err
 	}
-	sampler, err := netsim.ParseSampler(cfg.Sampler)
-	if err != nil {
-		return nil, nil, err
-	}
 	sim, err := netsim.NewSimulator(topo, netsim.SimConfig{
-		Days: cfg.Days, Seed: cfg.Seed, MoveProb: cfg.MoveProb, Sampler: sampler,
+		Days: cfg.Days, Seed: cfg.Seed, MoveProb: cfg.MoveProb,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -199,21 +193,9 @@ func FitFromSimulationFaulty(cfg SimulationConfig, f FaultConfig) (*ModelSet, *F
 	if err != nil {
 		return nil, nil, err
 	}
-	coll, err := probe.NewCollector(len(sim.Services))
+	coll, err := experiments.Collect(sim, cfg.Days, inj)
 	if err != nil {
 		return nil, nil, err
-	}
-	var obsErr error
-	yield := inj.Wrap(func(s netsim.Session) {
-		if obsErr == nil {
-			obsErr = coll.Observe(s)
-		}
-	})
-	if err := sim.GenerateAll(yield); err != nil {
-		return nil, nil, err
-	}
-	if obsErr != nil {
-		return nil, nil, obsErr
 	}
 	set, report, err := core.FitServiceModelsReport(coll, sim.Services, nil)
 	if err != nil {
@@ -243,19 +225,33 @@ type SessionObservation struct {
 // paper's per-(service, BS, day) statistics (§3.2) and fits the §5
 // models. At least a few hundred sessions per service are needed for a
 // stable fit; services below minSessions (default 100 when <= 0) are
-// skipped.
+// skipped. BS identifiers may be any integers, e.g. sparse cell IDs;
+// volumes and durations must be positive and finite.
 func FitFromObservations(obs []SessionObservation, minSessions float64) (*ModelSet, error) {
 	if len(obs) == 0 {
 		return nil, fmt.Errorf("mobiletraffic: no observations")
 	}
-	// Assign service indices in first-seen order.
+	// Assign service indices in first-seen order, and BS indices in
+	// ascending-identifier order: the collector is dense in the BS
+	// index, so large sparse identifiers must not size it. Dense
+	// identifiers 0..n-1 map to themselves.
 	idx := map[string]int{}
 	var names []string
+	bsIdx := map[int]int{}
 	for _, o := range obs {
 		if _, ok := idx[o.Service]; !ok {
 			idx[o.Service] = len(names)
 			names = append(names, o.Service)
 		}
+		bsIdx[o.BS] = 0
+	}
+	ids := make([]int, 0, len(bsIdx))
+	for id := range bsIdx {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for i, id := range ids {
+		bsIdx[id] = i
 	}
 	coll, err := probe.NewCollector(len(names))
 	if err != nil {
@@ -270,14 +266,14 @@ func FitFromObservations(obs []SessionObservation, minSessions float64) (*ModelS
 		}
 		err := coll.Observe(netsim.Session{
 			Service:  idx[o.Service],
-			BS:       o.BS,
+			BS:       bsIdx[o.BS],
 			Day:      o.Day,
 			Minute:   o.Minute,
 			Volume:   o.Volume,
 			Duration: o.Duration,
 		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("mobiletraffic: observation %d: %w", i, err)
 		}
 	}
 	catalog := make([]services.Profile, len(names))
