@@ -6,10 +6,9 @@ import (
 )
 
 // Chi-square tests over binned counts, the categorical complement of
-// KSTwoSample: the sampler-stream equivalence suite uses them to check
-// that the v1 and v2 synthesis engines realize the same per-service
-// share, arrival-count and truncation marginals (DESIGN.md "Sampler
-// streams and determinism").
+// the KS tests: the sampler's analytic oracle suite uses Chi2GoF to
+// check its per-service share and arrival-count marginals against the
+// seeded ground truth (DESIGN.md "Sampler stream and determinism").
 
 // Chi2GoF computes Pearson's goodness-of-fit statistic of observed
 // counts against expected category probabilities, with the p-value of

@@ -3,7 +3,7 @@ package mathx
 import "math"
 
 // This file is the random-number substrate of the sampler-v2 synthesis
-// engine (see DESIGN.md "Sampler streams and determinism"): a small,
+// engine (see DESIGN.md "Sampler stream and determinism"): a small,
 // allocation-free PCG-style generator seeded through the splitmix64
 // finalizer, plus ziggurat samplers for the normal and exponential
 // variates the session synthesizer draws per session. math/rand's
