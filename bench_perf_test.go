@@ -6,6 +6,7 @@ package mobiletraffic
 // (AggregateVolume). BENCH_pr3.json records their trajectory.
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
@@ -232,6 +233,51 @@ func BenchmarkTraceWriteCSV(b *testing.B) { benchmarkTraceWrite(b, trace.CSV) }
 // same 1M-record stream: the acceptance bar is ≥3× fewer bytes and
 // ≥2× less wall time than CSV.
 func BenchmarkTraceWriteBin(b *testing.B) { benchmarkTraceWrite(b, trace.Bin) }
+
+// BenchmarkTraceReadBin times decoding the same 1M-record stream from
+// MTTR bytes: block decode through reused column buffers, per-record
+// validation and the join into one exact-size slice.
+func BenchmarkTraceReadBin(b *testing.B) {
+	recs := traceBenchRecords()
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf, trace.Bin)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for j := range recs {
+		if err := w.Write(recs[j]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		back, err := trace.Read(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(back) != len(recs) {
+			b.Fatalf("read %d records, want %d", len(back), len(recs))
+		}
+	}
+}
+
+// BenchmarkTraceSummarize times trace.Summarize over the 1M-record
+// stream: the counts plus the volume quantiles by selection.
+func BenchmarkTraceSummarize(b *testing.B) {
+	recs := traceBenchRecords()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s := trace.Summarize(recs); s.Sessions != len(recs) {
+			b.Fatalf("summarized %d sessions, want %d", s.Sessions, len(recs))
+		}
+	}
+}
 
 // benchmarkGenerateCampaign times a 10-BS x 7-day campaign (one BS per
 // fitted load decile) on the parallel generation plane at the given

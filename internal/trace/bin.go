@@ -174,8 +174,10 @@ type binWriter struct {
 	times, volumes, durs, thrs []float64
 	svcs                       []uint32
 
-	// Footer accumulators.
+	// Footer accumulators; svcCount is indexed like dict, and finish
+	// turns it into sum.Services.
 	sum        Summary
+	svcCount   []int
 	allVolumes []float64
 
 	finished bool
@@ -187,7 +189,6 @@ func newBinWriter(w io.Writer) (*binWriter, error) {
 		scratch: make([]byte, 16),
 		dict:    make(map[string]uint32),
 	}
-	bw.sum.Services = map[string]int{}
 	if _, err := bw.cw.Write([]byte(binMagic)); err != nil {
 		return nil, err
 	}
@@ -222,6 +223,7 @@ func (bw *binWriter) svcIndex(name string) (uint32, error) {
 		return 0, err
 	}
 	bw.dict[name] = idx
+	bw.svcCount = append(bw.svcCount, 0)
 	return idx, nil
 }
 
@@ -242,7 +244,7 @@ func (bw *binWriter) add(r Record) error {
 
 	bw.sum.Sessions++
 	bw.sum.TotalBytes += r.Bytes
-	bw.sum.Services[r.Service]++
+	bw.svcCount[idx]++
 	if r.TimeS > bw.sum.SpanS {
 		bw.sum.SpanS = r.TimeS
 	}
@@ -446,6 +448,10 @@ func (bw *binWriter) finish() error {
 		return err
 	}
 	bw.finished = true
+	bw.sum.Services = make(map[string]int, len(bw.dict))
+	for name, idx := range bw.dict {
+		bw.sum.Services[name] = bw.svcCount[idx]
+	}
 	bw.sum.fillQuantiles(bw.allVolumes)
 	bw.allVolumes = nil
 	sumJSON, err := json.Marshal(bw.sum)
@@ -491,67 +497,69 @@ func (cr *binCountingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// binColumn is one framed column read off the stream.
-type binColumn struct {
-	enc     byte
-	payload []byte
+// uvarintReader walks a column payload of back-to-back uvarints.
+type uvarintReader struct {
+	p   []byte
+	pos int
 }
 
-// uvarints decodes exactly n uvarints spanning the whole payload.
-func uvarints(payload []byte, n int) ([]uint64, error) {
-	out := make([]uint64, n)
-	pos := 0
-	for i := range out {
-		v, w := binary.Uvarint(payload[pos:])
-		if w <= 0 {
-			return nil, fmt.Errorf("varint %d truncated", i)
-		}
-		out[i] = v
-		pos += w
+// next decodes the i-th uvarint.
+func (u *uvarintReader) next(i int) (uint64, error) {
+	v, w := binary.Uvarint(u.p[u.pos:])
+	if w <= 0 {
+		return 0, fmt.Errorf("varint %d truncated", i)
 	}
-	if pos != len(payload) {
-		return nil, fmt.Errorf("%d trailing payload bytes", len(payload)-pos)
-	}
-	return out, nil
+	u.pos += w
+	return v, nil
 }
 
-// decodeFloatColumn reconstructs a float column. The derived and
-// predict encodings consume the previously decoded volume and duration
-// columns (nil for the columns before them, which also forbids those
-// encodings there).
-func decodeFloatColumn(col binColumn, n int, vols, durs []float64) ([]float64, error) {
-	out := make([]float64, n)
-	switch col.enc {
+// done fails unless the uvarints spanned the whole payload.
+func (u *uvarintReader) done() error {
+	if u.pos != len(u.p) {
+		return fmt.Errorf("%d trailing payload bytes", len(u.p)-u.pos)
+	}
+	return nil
+}
+
+// decodeFloatColumn reconstructs a float column into out, one value
+// per record. The derived and predict encodings consume the already
+// decoded volume and duration columns (nil for the columns before
+// them, which also forbids those encodings there).
+func decodeFloatColumn(enc byte, payload []byte, out, vols, durs []float64) error {
+	n := len(out)
+	switch enc {
 	case encRaw:
-		if len(col.payload) != n*8 {
-			return nil, fmt.Errorf("raw column carries %d bytes, want %d", len(col.payload), n*8)
+		if len(payload) != n*8 {
+			return fmt.Errorf("raw column carries %d bytes, want %d", len(payload), n*8)
 		}
 		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(col.payload[i*8:]))
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
 		}
 	case encDecimal:
-		vs, err := uvarints(col.payload, n)
-		if err != nil {
-			return nil, err
+		u := uvarintReader{p: payload}
+		for i := range out {
+			v, err := u.next(i)
+			if err != nil {
+				return err
+			}
+			out[i] = float64(v>>2) / binPow10[v&3]
 		}
-		for i, v := range vs {
-			k := v & 3
-			out[i] = float64(v>>2) / binPow10[k]
-		}
+		return u.done()
 	case encDelta:
-		if len(col.payload) < 1 {
-			return nil, fmt.Errorf("delta column missing scale")
+		if len(payload) < 1 {
+			return fmt.Errorf("delta column missing scale")
 		}
-		k := int(col.payload[0])
+		k := int(payload[0])
 		if k >= len(binPow10) {
-			return nil, fmt.Errorf("delta column scale %d", k)
+			return fmt.Errorf("delta column scale %d", k)
 		}
-		vs, err := uvarints(col.payload[1:], n)
-		if err != nil {
-			return nil, err
-		}
+		u := uvarintReader{p: payload[1:]}
 		m := int64(0)
-		for i, v := range vs {
+		for i := range out {
+			v, err := u.next(i)
+			if err != nil {
+				return err
+			}
 			if i == 0 {
 				m = int64(v)
 			} else {
@@ -559,73 +567,98 @@ func decodeFloatColumn(col binColumn, n int, vols, durs []float64) ([]float64, e
 			}
 			out[i] = float64(m) / binPow10[k]
 		}
+		return u.done()
 	case encDerived:
 		if vols == nil {
-			return nil, fmt.Errorf("derived encoding outside the throughput column")
+			return fmt.Errorf("derived encoding outside the throughput column")
 		}
-		if len(col.payload) != 0 {
-			return nil, fmt.Errorf("derived column carries %d payload bytes", len(col.payload))
+		if len(payload) != 0 {
+			return fmt.Errorf("derived column carries %d payload bytes", len(payload))
 		}
 		for i := range out {
 			out[i] = vols[i] / durs[i]
 		}
 	case encPredict:
 		if vols == nil {
-			return nil, fmt.Errorf("predict encoding outside the throughput column")
+			return fmt.Errorf("predict encoding outside the throughput column")
 		}
-		if len(col.payload) < 1 {
-			return nil, fmt.Errorf("predict column missing scale")
+		if len(payload) < 1 {
+			return fmt.Errorf("predict column missing scale")
 		}
-		k := int(col.payload[0])
+		k := int(payload[0])
 		if k >= len(binPow10) {
-			return nil, fmt.Errorf("predict column scale %d", k)
+			return fmt.Errorf("predict column scale %d", k)
 		}
-		vs, err := uvarints(col.payload[1:], n)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range vs {
+		u := uvarintReader{p: payload[1:]}
+		for i := range out {
+			v, err := u.next(i)
+			if err != nil {
+				return err
+			}
 			m := predDecimal(vols[i], durs[i], k) + unzigzag(v)
 			out[i] = float64(m) / binPow10[k]
 		}
+		return u.done()
 	default:
-		return nil, fmt.Errorf("float column encoding %#02x", col.enc)
+		return fmt.Errorf("float column encoding %#02x", enc)
 	}
-	return out, nil
+	return nil
 }
 
-// decodeServiceColumn reconstructs the service index column.
-func decodeServiceColumn(col binColumn, n int) ([]uint32, error) {
-	out := make([]uint32, n)
-	switch col.enc {
+// decodeServiceColumn reconstructs the service index column into out,
+// rejecting any index outside the dict read so far.
+func decodeServiceColumn(enc byte, payload []byte, out []uint32, dictLen int) error {
+	n := len(out)
+	switch enc {
 	case encRaw:
-		if len(col.payload) != n*4 {
-			return nil, fmt.Errorf("raw service column carries %d bytes, want %d", len(col.payload), n*4)
+		if len(payload) != n*4 {
+			return fmt.Errorf("raw service column carries %d bytes, want %d", len(payload), n*4)
 		}
 		for i := range out {
-			out[i] = binary.LittleEndian.Uint32(col.payload[i*4:])
+			out[i] = binary.LittleEndian.Uint32(payload[i*4:])
 		}
 	case encVarint:
-		vs, err := uvarints(col.payload, n)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range vs {
+		u := uvarintReader{p: payload}
+		for i := range out {
+			v, err := u.next(i)
+			if err != nil {
+				return err
+			}
 			if v > math.MaxUint32 {
-				return nil, fmt.Errorf("service index %d overflows", v)
+				return fmt.Errorf("service index %d overflows", v)
 			}
 			out[i] = uint32(v)
 		}
+		if err := u.done(); err != nil {
+			return err
+		}
 	default:
-		return nil, fmt.Errorf("service column encoding %#02x", col.enc)
+		return fmt.Errorf("service column encoding %#02x", enc)
 	}
-	return out, nil
+	for _, s := range out {
+		if s >= uint32(dictLen) {
+			return fmt.Errorf("service index %d outside %d-entry dict", s, dictLen)
+		}
+	}
+	return nil
+}
+
+// resize returns buf with length n, reallocating only when its
+// capacity falls short.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // readBin decodes a whole MTTR stream: dict and block sections in
 // order, the footer, and the CRC trailer. Any structural violation —
 // unknown tag, out-of-range service index, bad trailer — is an error,
-// never a panic or a silently short result.
+// never a panic or a silently short result. Each block decodes through
+// column buffers reused from block to block into an exact-size record
+// chunk; once the footer confirms the session count, the chunks are
+// joined into one exact-size slice.
 func readBin(r io.Reader) ([]Record, error) {
 	cr := &binCountingReader{r: r}
 	var scratch [8]byte
@@ -640,25 +673,17 @@ func readBin(r io.Reader) ([]Record, error) {
 	}
 	var (
 		dict    []string
-		out     []Record
+		chunks  [][]Record
+		total   int
 		footOff uint64
 		sawFoot bool
+
+		// Column buffers reused across blocks.
+		encs                    [5]byte
+		payloads                [5][]byte
+		times, vols, durs, thrs []float64
+		svcs                    []uint32
 	)
-	readColumn := func(n uint32) (binColumn, error) {
-		var h [5]byte
-		if _, err := io.ReadFull(cr, h[:]); err != nil {
-			return binColumn{}, fmt.Errorf("column header: %w", err)
-		}
-		plen := binary.LittleEndian.Uint32(h[1:5])
-		if plen > 10*n+16 {
-			return binColumn{}, fmt.Errorf("column declares %d payload bytes for %d records", plen, n)
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(cr, payload); err != nil {
-			return binColumn{}, fmt.Errorf("column payload: %w", err)
-		}
-		return binColumn{enc: h[0], payload: payload}, nil
-	}
 	for !sawFoot {
 		sectionOff := cr.off
 		if _, err := io.ReadFull(cr, scratch[:1]); err != nil {
@@ -687,54 +712,54 @@ func readBin(r io.Reader) ([]Record, error) {
 			if n == 0 || n > MaxBinBlockRecords {
 				return nil, fmt.Errorf("trace: bin block declares %d records", n)
 			}
-			cols := make([]binColumn, 5)
-			for i := range cols {
-				col, err := readColumn(n)
-				if err != nil {
-					return nil, fmt.Errorf("trace: bin block: %w", err)
+			for i := range payloads {
+				var h [5]byte
+				if _, err := io.ReadFull(cr, h[:]); err != nil {
+					return nil, fmt.Errorf("trace: bin block: column header: %w", err)
 				}
-				cols[i] = col
+				plen := binary.LittleEndian.Uint32(h[1:5])
+				if plen > 10*n+16 {
+					return nil, fmt.Errorf("trace: bin block: column declares %d payload bytes for %d records", plen, n)
+				}
+				encs[i] = h[0]
+				payloads[i] = resize(payloads[i], int(plen))
+				if _, err := io.ReadFull(cr, payloads[i]); err != nil {
+					return nil, fmt.Errorf("trace: bin block: column payload: %w", err)
+				}
 			}
-			times, err := decodeFloatColumn(cols[0], int(n), nil, nil)
-			if err != nil {
+			times, svcs = resize(times, int(n)), resize(svcs, int(n))
+			vols, durs, thrs = resize(vols, int(n)), resize(durs, int(n)), resize(thrs, int(n))
+			if err := decodeFloatColumn(encs[0], payloads[0], times, nil, nil); err != nil {
 				return nil, fmt.Errorf("trace: bin block times: %w", err)
 			}
-			svcs, err := decodeServiceColumn(cols[1], int(n))
-			if err != nil {
+			if err := decodeServiceColumn(encs[1], payloads[1], svcs, len(dict)); err != nil {
 				return nil, fmt.Errorf("trace: bin block services: %w", err)
 			}
-			for _, s := range svcs {
-				if s >= uint32(len(dict)) {
-					return nil, fmt.Errorf("trace: bin service index %d outside %d-entry dict", s, len(dict))
-				}
-			}
-			volumes, err := decodeFloatColumn(cols[2], int(n), nil, nil)
-			if err != nil {
+			if err := decodeFloatColumn(encs[2], payloads[2], vols, nil, nil); err != nil {
 				return nil, fmt.Errorf("trace: bin block volumes: %w", err)
 			}
-			durs, err := decodeFloatColumn(cols[3], int(n), nil, nil)
-			if err != nil {
+			if err := decodeFloatColumn(encs[3], payloads[3], durs, nil, nil); err != nil {
 				return nil, fmt.Errorf("trace: bin block durations: %w", err)
 			}
-			thrs, err := decodeFloatColumn(cols[4], int(n), volumes, durs)
-			if err != nil {
+			if err := decodeFloatColumn(encs[4], payloads[4], thrs, vols, durs); err != nil {
 				return nil, fmt.Errorf("trace: bin block throughputs: %w", err)
 			}
-			base := len(out)
-			out = append(out, make([]Record, n)...)
-			for i := 0; i < int(n); i++ {
-				rec := Record{
+			chunk := make([]Record, n)
+			for i := range chunk {
+				rec := &chunk[i]
+				*rec = Record{
 					TimeS:      times[i],
 					Service:    dict[svcs[i]],
-					Bytes:      volumes[i],
+					Bytes:      vols[i],
 					DurationS:  durs[i],
 					Throughput: thrs[i],
 				}
 				if err := rec.Validate(); err != nil {
-					return nil, fmt.Errorf("trace: bin record %d: %w", base+i+1, err)
+					return nil, fmt.Errorf("trace: bin record %d: %w", total+i+1, err)
 				}
-				out[base+i] = rec
 			}
+			chunks = append(chunks, chunk)
+			total += len(chunk)
 		case tagFooter:
 			footOff = sectionOff
 			if _, err := io.ReadFull(cr, scratch[:4]); err != nil {
@@ -752,8 +777,8 @@ func readBin(r io.Reader) ([]Record, error) {
 			if err := json.Unmarshal(sumJSON, &sum); err != nil {
 				return nil, fmt.Errorf("trace: bin footer summary: %w", err)
 			}
-			if sum.Sessions != len(out) {
-				return nil, fmt.Errorf("trace: bin footer says %d sessions, blocks carry %d", sum.Sessions, len(out))
+			if sum.Sessions != total {
+				return nil, fmt.Errorf("trace: bin footer says %d sessions, blocks carry %d", sum.Sessions, total)
 			}
 			sawFoot = true
 		default:
@@ -777,6 +802,16 @@ func readBin(r io.Reader) ([]Record, error) {
 	}
 	if _, err := io.ReadFull(cr.r, scratch[:1]); err != io.EOF {
 		return nil, fmt.Errorf("trace: trailing bytes after MTTR trailer")
+	}
+	switch len(chunks) {
+	case 0:
+		return nil, nil
+	case 1:
+		return chunks[0], nil
+	}
+	out := make([]Record, 0, total)
+	for _, c := range chunks {
+		out = append(out, c...)
 	}
 	return out, nil
 }

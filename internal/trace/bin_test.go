@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // writeTrace encodes records in the given format and returns the bytes.
@@ -399,4 +401,33 @@ func TestSummarizeEdgeCases(t *testing.T) {
 	if one.Services["solo"] != 1 {
 		t.Errorf("single summary services = %v", one.Services)
 	}
+}
+
+// TestReadBinAllocBudget pins the reader's memory: decoding a trace of
+// many blocks may allocate at most 2.5x the bytes of the []Record it
+// returns (the per-block chunks, the joined result and the reused
+// column buffers), not a regrowing result plus per-block scratch.
+func TestReadBinAllocBudget(t *testing.T) {
+	recs := generatorRecords(24*binBlockRecords+100, 10)
+	data := writeTrace(t, recs, Bin)
+	out := int(unsafe.Sizeof(Record{})) * len(recs)
+	budget := uint64(out) * 5 / 2
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		back, err := Read(bytes.NewReader(data))
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(back) != len(recs) {
+			t.Fatalf("read %d records, wrote %d", len(back), len(recs))
+		}
+		best = min(best, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	if best > budget {
+		t.Errorf("Read allocated %d B for a %d B []Record (%.2fx), budget 2.5x", best, out, float64(best)/float64(out))
+	}
+	t.Logf("Read allocated %d B for a %d B []Record (%.2fx)", best, out, float64(best)/float64(out))
 }

@@ -130,6 +130,57 @@ func TestWriteRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestWriteRejectsNonFinite checks that a NaN or infinite time, volume
+// or duration is refused by Write, at the record, in every format: the
+// MTTR writer used to accept a NaN volume and only fail in Flush,
+// leaving a trace without footer or trailer. The rejected record must
+// not reach the output, which stays a valid trace of the good records.
+func TestWriteRejectsNonFinite(t *testing.T) {
+	good := sampleRecords()
+	cases := []struct {
+		name string
+		mut  func(*Record)
+	}{
+		{"nan time", func(r *Record) { r.TimeS = math.NaN() }},
+		{"inf time", func(r *Record) { r.TimeS = math.Inf(1) }},
+		{"nan bytes", func(r *Record) { r.Bytes = math.NaN() }},
+		{"inf bytes", func(r *Record) { r.Bytes = math.Inf(1) }},
+		{"nan duration", func(r *Record) { r.DurationS = math.NaN() }},
+		{"inf duration", func(r *Record) { r.DurationS = math.Inf(1) }},
+		{"-inf duration", func(r *Record) { r.DurationS = math.Inf(-1) }},
+	}
+	for _, format := range []Format{CSV, JSONLines, Bin} {
+		for _, tc := range cases {
+			var buf bytes.Buffer
+			w, err := NewWriter(&buf, format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := good[1]
+			tc.mut(&bad)
+			if err := w.Write(good[0]); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Write(bad); err == nil || !strings.Contains(err.Error(), "non-finite") {
+				t.Errorf("format %d, %s: Write err = %v, want a non-finite record error", format, tc.name, err)
+			}
+			if err := w.Write(good[2]); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatalf("format %d, %s: Flush after a rejected record: %v", format, tc.name, err)
+			}
+			back, err := Read(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("format %d, %s: read back: %v", format, tc.name, err)
+			}
+			if w.Count() != 2 || len(back) != 2 || back[0].Service != good[0].Service || back[1].Service != good[2].Service {
+				t.Errorf("format %d, %s: wrote %d, read back %+v", format, tc.name, w.Count(), back)
+			}
+		}
+	}
+}
+
 func TestParseFormat(t *testing.T) {
 	if f, err := ParseFormat("csv"); err != nil || f != CSV {
 		t.Error("csv")
