@@ -5,14 +5,15 @@ import (
 	"testing"
 
 	"mobiletraffic/internal/dist"
+	"mobiletraffic/internal/oracle"
 	"mobiletraffic/internal/services"
 )
 
 // The one-sample oracle suite tests the sampler against the analytic
 // ground truth it is seeded with, rather than against another sampler:
-// every marginal below is computed in closed form from the reference
-// simulator's catalog, topology and per-BS share vectors, and a
-// campaign's sessions must be a plausible draw from it. The campaigns
+// every marginal below is computed in closed form by internal/oracle
+// from the reference simulator's catalog, topology and per-BS share
+// vectors, and a campaign's sessions must be a plausible draw from it. The campaigns
 // run at fixed seeds, so every p-value is a constant; the 1e-3 floor
 // keeps the suite deterministic while failing loudly on a systematic
 // shift, which the planted-shift controls prove it can see.
@@ -89,9 +90,6 @@ func sampleCampaign(t *testing.T, sim *Simulator) *campaignSample {
 	return out
 }
 
-// phi is the standard normal CDF.
-var phi = dist.Normal{Mu: 0, Sigma: 1}.CDF
-
 // groundTruth evaluates the analytic marginals of a reference
 // simulator.
 type groundTruth struct{ sim *Simulator }
@@ -119,168 +117,46 @@ func volumeMixture(p *services.Profile) ([]dist.Normal, []float64) {
 	return comps, w
 }
 
-// mixtureOf builds the mixture of Normal components.
-func mixtureOf(t *testing.T, comps []dist.Normal, w []float64) *dist.Mixture {
-	t.Helper()
-	ds := make([]dist.Dist, len(comps))
-	for k, c := range comps {
-		ds[k] = c
-	}
-	mix, err := dist.NewMixture(ds, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mix
-}
-
 // volumeCDF is the CDF of log10 volume: the Normal mixture, with the
 // mass above the 2 GB cap collected on the cap.
 func (o groundTruth) volumeCDF(t *testing.T, sv int) func(float64) float64 {
+	t.Helper()
 	comps, w := volumeMixture(&o.sim.Services[sv])
-	mix := mixtureOf(t, comps, w)
-	top := math.Log10(services.MaxSessionVolume)
-	return func(x float64) float64 {
-		if x >= top {
-			return 1
-		}
-		return mix.CDF(x)
+	cdf, err := oracle.VolumeCDF(comps, w, math.Log10(services.MaxSessionVolume))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return cdf
 }
 
-// durationCDF is the CDF of log10 duration. An uncapped volume
-// component N(μ_k, σ_k) maps through the power-law inverse plus noise
-// to N((μ_k − log10 α)/β, √(σ_k²/β² + noise²)). The clamps at 1 s and
-// 24 h collect point masses at 0 and log10 86400. Volumes capped at
-// 2 GB map to the cap's duration instead: that correction moves the
-// component's mass above the cap, so it is integrated by Simpson's
-// rule once per grid point and interpolated linearly in between.
+// durationCDF is the CDF of log10 duration: the volume mixture through
+// the profile's power law and noise, clamped to [1 s, 24 h].
 func (o groundTruth) durationCDF(t *testing.T, sv int) func(float64) float64 {
+	t.Helper()
 	p := &o.sim.Services[sv]
 	vol, w := volumeMixture(p)
-	a, beta, noise := math.Log10(p.Alpha()), p.Beta, p.DurationNoise
-	capV := math.Log10(services.MaxSessionVolume)
-	top := math.Log10(24 * 3600)
-	capD := (capV - a) / beta
-	dur := make([]dist.Normal, len(vol))
-	var total float64
-	for k, c := range vol {
-		dur[k] = dist.Normal{Mu: (c.Mu - a) / beta, Sigma: math.Sqrt(c.Sigma*c.Sigma/(beta*beta) + noise*noise)}
-		total += w[k]
+	cdf, err := oracle.DurationCDF(vol, w, math.Log10(services.MaxSessionVolume), oracle.PowerLaw{
+		Log10Alpha: math.Log10(p.Alpha()),
+		Beta:       p.Beta,
+		Noise:      p.DurationNoise,
+		TopLog10:   math.Log10(24 * 3600),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	mix := mixtureOf(t, dur, w)
-	const grid, steps, span = 4096, 128, 8.0
-	var corr []float64
-	for k, c := range vol {
-		u0 := (capV - c.Mu) / c.Sigma
-		above := 1 - phi(u0)
-		if above < 1e-12 {
-			continue
-		}
-		if corr == nil {
-			corr = make([]float64, grid+1)
-		}
-		h := span / steps
-		for j := range corr {
-			y := top * float64(j) / grid
-			// ∫ φ(u)·Φ((y − (μ_k + σ_k·u − a)/β)/noise) du over the
-			// standardized volumes above the cap.
-			var acc float64
-			for i := 0; i <= steps; i++ {
-				u := u0 + float64(i)*h
-				coef := 2.0
-				switch {
-				case i == 0 || i == steps:
-					coef = 1
-				case i%2 == 1:
-					coef = 4
-				}
-				acc += coef * math.Exp(-u*u/2) / math.Sqrt(2*math.Pi) * phi((y-(c.Mu+c.Sigma*u-a)/beta)/noise)
-			}
-			corr[j] += w[k] / total * (above*phi((y-capD)/noise) - acc*h/3)
-		}
-	}
-	return func(y float64) float64 {
-		if y < 0 {
-			return 0
-		}
-		if y >= top {
-			return 1
-		}
-		f := mix.CDF(y)
-		if corr != nil {
-			pos := y / top * grid
-			j := int(pos)
-			if j >= grid {
-				j = grid - 1 // y rounds onto the last grid point
-			}
-			fr := pos - float64(j)
-			f += corr[j]*(1-fr) + corr[j+1]*fr
-		}
-		return f
-	}
+	return cdf
 }
 
 // minuteExpect returns the expected number of the BS's (minute, day)
-// slots with k arrivals, for k in [0, len), the last cell absorbing
-// the upper tail. A minute with phase weight w_m draws
-// round(N(μ, μ/10)) with probability w_m and round(min(Pareto, μ/2))
-// otherwise, so over a day the pmf sums to
-// Σ_m [w_m·P(round(N) = k) + (1−w_m)·P(round(min(Pareto, μ/2)) = k)].
+// slots with k arrivals, for k in [0, cells), the last cell absorbing
+// the upper tail: a minute with phase weight w_m draws round(N(μ, μ/10))
+// with probability w_m and round(min(Pareto, μ/2)) otherwise.
 func (o groundTruth) minuteExpect(bs, cells int) []float64 {
 	b := &o.sim.Topo.BSs[bs]
-	capR := b.PeakRate * 0.5
-	// P(rate < x) of each mode; a count k collects rates in
-	// [k−0.5, k+0.5), and every rate below 0.5 counts as zero. Both
-	// CDFs are continuous except the Pareto's atom at its clamp.
-	gauss := dist.Normal{Mu: b.PeakRate, Sigma: b.PeakRate / 10}.CDF
-	off := dist.Pareto{Shape: OffPeakParetoShape, Scale: b.OffPeakScale}
-	pareto := func(x float64) float64 {
-		if x > capR {
-			return 1
-		}
-		return off.CDF(x)
-	}
-	var day float64
-	for _, w := range o.sim.phase {
-		day += w
-	}
-	night := float64(MinutesPerDay) - day
-	days := float64(o.sim.Config.Days)
-	e := make([]float64, cells)
-	var cum float64
-	for k := 0; k < cells-1; k++ {
-		hi := float64(k) + 0.5
-		lo := hi - 1
-		pk := day*(gauss(hi)-gauss(lo)) + night*(pareto(hi)-pareto(lo))
-		if k == 0 {
-			pk = day*gauss(hi) + night*pareto(hi)
-		}
-		e[k] = days * pk
-		cum += e[k]
-	}
-	e[cells-1] = days*float64(MinutesPerDay) - cum
-	return e
-}
-
-// pool merges adjacent cells from the left until each pooled cell
-// expects at least min observations; a short remainder joins the last
-// pooled cell.
-func pool(obs, exp []float64, min float64) (po, pe []float64) {
-	var o, e float64
-	for i := range exp {
-		o += obs[i]
-		e += exp[i]
-		if e >= min {
-			po, pe = append(po, o), append(pe, e)
-			o, e = 0, 0
-		}
-	}
-	if len(pe) == 0 {
-		return []float64{o}, []float64{e}
-	}
-	po[len(po)-1] += o
-	pe[len(pe)-1] += e
-	return po, pe
+	return oracle.MinuteCounts(
+		dist.Normal{Mu: b.PeakRate, Sigma: b.PeakRate / 10},
+		dist.Pareto{Shape: OffPeakParetoShape, Scale: b.OffPeakScale},
+		b.PeakRate*0.5, o.sim.phase, o.sim.Config.Days, cells)
 }
 
 // marginalPValues runs every one-sample test of the campaign against
@@ -309,7 +185,7 @@ func marginalPValues(t *testing.T, ref *Simulator, got *campaignSample) map[stri
 	for bs, hist := range got.minuteHist {
 		obs := make([]float64, len(hist)+1)
 		copy(obs, hist)
-		po, pe := pool(obs, o.minuteExpect(bs, len(obs)), oracleMinExp)
+		po, pe := oracle.Pool(obs, o.minuteExpect(bs, len(obs)), oracleMinExp)
 		mObs, mExp = append(mObs, po...), append(mExp, pe...)
 	}
 	stat, df, p, err = dist.Chi2GoF(mObs, mExp)
