@@ -321,21 +321,6 @@ func BenchmarkGeneratorMinute(b *testing.B) {
 	}
 }
 
-func BenchmarkGeneratorMinuteV1(b *testing.B) {
-	b.ReportAllocs()
-	env := benchEnvironment(b)
-	gen, err := core.NewGeneratorEngine(env.Models, 1, core.GenV1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gen.Minute(9, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkEMD(b *testing.B) {
 	b.ReportAllocs()
 	edges := mathx.LinSpace(2, 10.5, 171)

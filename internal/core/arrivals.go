@@ -104,8 +104,8 @@ func (m *ArrivalModel) SampleCount(peak bool, rng *rand.Rand) int {
 	return n
 }
 
-// SampleCountFast is the generation-engine-v2 form of SampleCount on
-// the PCG stream: the daytime Gaussian comes from the ziggurat sampler
+// SampleCountFast is the generator's form of SampleCount on the PCG
+// stream: the daytime Gaussian comes from the ziggurat sampler
 // and the nighttime Pareto uses the inverse-CDF identity
 // scale·(1−u)^(−1/shape) = scale·exp(E/shape) with E standard
 // exponential, trading math.Pow for one math.Exp. Identically

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"math"
-	"math/rand"
 
 	"mobiletraffic/internal/fit"
 	"mobiletraffic/internal/mathx"
@@ -47,26 +46,6 @@ func (m *DurationModel) Throughput(duration float64) float64 {
 // served by a single BS cannot outlive the daily aggregation window of
 // the measurements (§3.2).
 const MaxSessionDuration = 24 * 3600.0
-
-// SampleDuration draws a duration for a session of the given volume,
-// optionally jittered log-normally by noise decades, clamped to
-// [1 s, MaxSessionDuration].
-func (m *DurationModel) SampleDuration(volume, noise float64, rng *rand.Rand) float64 {
-	d := m.DurationFor(volume)
-	if math.IsNaN(d) {
-		return 1
-	}
-	if noise > 0 {
-		d *= math.Pow(10, noise*rng.NormFloat64())
-	}
-	switch {
-	case d < 1:
-		return 1
-	case d > MaxSessionDuration:
-		return MaxSessionDuration
-	}
-	return d
-}
 
 // MinPairSessions is the minimum session count for a duration bin to
 // enter the power-law fit; sparser bins are measurement noise.

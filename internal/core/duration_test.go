@@ -117,23 +117,37 @@ func TestDurationModelThroughputScaling(t *testing.T) {
 	}
 }
 
+// planFor compiles the generation plan of a one-service model set.
+func planFor(t *testing.T, m ServiceModel) *svcPlan {
+	t.Helper()
+	m.Name, m.SessionShare = "svc", 1
+	plan, err := newGenPlan(&ModelSet{Services: []ServiceModel{m}}, []float64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &plan.svcs[0]
+}
+
 func TestSampleDuration(t *testing.T) {
-	m := &DurationModel{Alpha: 1000, Beta: 1.0}
-	rng := rand.New(rand.NewSource(5))
+	law := DurationModel{Alpha: 1000, Beta: 1.0}
+	var rng mathx.PCG
+	rng.Seed(5, 1)
 	// Deterministic mode: exactly the inverse.
-	if got := m.SampleDuration(5000, 0, rng); math.Abs(got-5) > 1e-9 {
+	exact := planFor(t, ServiceModel{Duration: law})
+	if got := exact.sampleDurationLn(math.Log(5000), &rng); math.Abs(got-5) > 1e-9 {
 		t.Errorf("deterministic duration = %v, want 5", got)
 	}
 	// Noise mode centers on the inverse.
+	noisy := planFor(t, ServiceModel{Duration: law, DurationNoise: 0.2})
 	var logs []float64
 	for i := 0; i < 20000; i++ {
-		logs = append(logs, math.Log10(m.SampleDuration(1e6, 0.2, rng)))
+		logs = append(logs, math.Log10(noisy.sampleDurationLn(math.Log(1e6), &rng)))
 	}
 	if got := mathx.Mean(logs); math.Abs(got-3) > 0.02 {
 		t.Errorf("mean log duration = %v, want 3", got)
 	}
-	// Invalid volume floors at 1 s.
-	if got := m.SampleDuration(-1, 0, rng); got != 1 {
-		t.Errorf("invalid-volume duration = %v, want 1", got)
+	// A sub-second inverse floors at 1 s.
+	if got := exact.sampleDurationLn(math.Log(1e-9), &rng); got != 1 {
+		t.Errorf("sub-second duration = %v, want 1", got)
 	}
 }

@@ -7,40 +7,18 @@ import (
 	"mobiletraffic/internal/mathx"
 )
 
-// Engine selects the versioned generation engine that turns a
-// Generator seed into a synthetic session stream. Both versions
-// realize the released model distributions of §5.4; they differ in
-// which random draws produce them (see DESIGN.md "Generation engine
-// streams").
+// Engine names a generation-engine stream version. One version
+// remains, GenV2; the type and constant survive only so
+// NewGeneratorEngine keeps its signature (see there).
 type Engine string
 
-// Generation engine stream versions.
-const (
-	// GenV1 is the original math/rand stream: every draw is
-	// byte-for-byte identical to the pre-versioning Generator, pinned
-	// by TestGenV1GoldenStream. Use it to reproduce historical traces.
-	GenV1 Engine = "v1"
-	// GenV2 is the fast default: a table-driven engine (stack-resident
-	// PCG, Walker alias tables for the Table 1 service pick and the
-	// mixture-component pick, single-Exp log-domain volume/duration
-	// draws) that is statistically equivalent to v1 — same marginals,
-	// different draw mapping.
-	GenV2 Engine = "v2"
-)
+// GenV2 is the table-driven generation engine: stack-resident PCG,
+// Walker alias tables for the Table 1 service pick and the
+// mixture-component pick, and single-Exp log-domain volume and
+// duration draws (see DESIGN.md "Generation engine streams").
+const GenV2 Engine = "v2"
 
-// ParseEngine validates a generation-engine version string; the empty
-// string selects the default (v2).
-func ParseEngine(s string) (Engine, error) {
-	switch Engine(s) {
-	case "":
-		return GenV2, nil
-	case GenV1, GenV2:
-		return Engine(s), nil
-	}
-	return "", fmt.Errorf("core: unknown generation engine %q (want v1 or v2)", s)
-}
-
-// Substream key domains of the v2 generation plane. A substream is a
+// Substream key domains of the generation plane. A substream is a
 // mathx.PCG seeded SeedStream(master^domain, a, b); the domain salt
 // partitions the one master seed into disjoint stream families so a
 // generation substream can never coincide with the measurement
@@ -57,12 +35,11 @@ const (
 )
 
 // lnMaxDuration is the [1 s, 24 h] duration ceiling in the natural-log
-// domain, shared by every v2 duration draw.
+// domain, shared by every duration draw.
 var lnMaxDuration = math.Log(MaxSessionDuration)
 
-// genPlan is the precomputed generation plan of one ModelSet: the
-// engine-v2 counterpart of the v1 cumulative-share table, built once
-// per Generator so the per-session hot path performs no parameter
+// genPlan is the precomputed generation plan of one ModelSet, built
+// once per Generator so the per-session hot path performs no parameter
 // derivation, no name lookups and no O(n) scans.
 type genPlan struct {
 	// svcPick is the Walker/Vose alias table over the normalized
@@ -93,13 +70,12 @@ type svcPlan struct {
 	lnAlpha float64
 	noiseLn float64
 	// degenerate marks an uninvertible power law (alpha <= 0 or
-	// beta == 0): durations pin at the 1 s floor, matching the v1
-	// NaN-guard in DurationModel.SampleDuration.
+	// beta == 0): durations pin at the 1 s floor.
 	degenerate bool
 }
 
-// newGenPlan compiles the v2 generation plan from the model set and
-// its normalized session shares.
+// newGenPlan compiles the generation plan from the model set and its
+// normalized session shares.
 func newGenPlan(set *ModelSet, shares []float64) (*genPlan, error) {
 	svcPick, err := mathx.NewAliasTable(shares)
 	if err != nil {
@@ -147,9 +123,9 @@ func newGenPlan(set *ModelSet, shares []float64) (*genPlan, error) {
 
 // sampleVolumeLn draws one volume from the log-normal mixture in the
 // natural-log domain: component via the alias table, variate via the
-// ziggurat Gaussian, one math.Exp — versus math.Pow(10, ·) (a log and
-// an exp) on the v1 path. Returns the volume and its natural log so
-// the duration draw can skip the log half of the power-law inversion.
+// ziggurat Gaussian, one math.Exp. Returns the volume and its natural
+// log so the duration draw can skip the log half of the power-law
+// inversion.
 func (sp *svcPlan) sampleVolumeLn(rng *mathx.PCG) (v, lnV float64) {
 	ci := 0
 	if sp.comp != nil {

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 	"strings"
 
 	"mobiletraffic/internal/mathx"
@@ -31,25 +29,14 @@ type ServiceModel struct {
 	DurationNoise float64 `json:"duration_noise,omitempty"`
 }
 
-// GenSession is one synthetic session drawn from a ServiceModel.
+// GenSession is one synthetic session drawn from a ServiceModel:
+// volume from F_s, duration via the inverse v_s^{-1}, throughput as
+// their ratio (§5.4).
 type GenSession struct {
 	Service    string
 	Volume     float64 // bytes
 	Duration   float64 // seconds
 	Throughput float64 // bytes/second
-}
-
-// Generate draws one synthetic session: volume from F_s, duration via
-// the inverse v_s^{-1}, throughput as their ratio (§5.4).
-func (m *ServiceModel) Generate(rng *rand.Rand) GenSession {
-	vol := m.Volume.Sample(rng)
-	dur := m.Duration.SampleDuration(vol, m.DurationNoise, rng)
-	return GenSession{
-		Service:    m.Name,
-		Volume:     vol,
-		Duration:   dur,
-		Throughput: vol / dur,
-	}
 }
 
 // ModelSet is the released collection of per-service models together
@@ -181,19 +168,12 @@ func (s *ModelSet) Normalize() error {
 // ModelSet: arrival counts from the bi-modal arrival model of the
 // requested BS class, service attribution by the Table 1 shares, and
 // per-session volume/duration/throughput from the per-service models —
-// the complete generation recipe of §5.4 / §6.1. The Engine selects
-// which random stream realizes the draws: GenV1 replays the historical
-// math/rand stream byte for byte, GenV2 (the default) runs the
-// precomputed table-driven fast path.
+// the complete generation recipe of §5.4 / §6.1. Draws come from a
+// precomputed table-driven plan on an inline PCG stream.
 type Generator struct {
-	Set    *ModelSet
-	Engine Engine
-	// v1 stream state: math/rand source plus the cumulative share
-	// table scanned with a binary search.
-	rng *rand.Rand
-	cum []float64
-	// v2 stream state: inline PCG (no pointer chase, no sync.Mutex)
-	// plus the precomputed generation plan.
+	Set *ModelSet
+	// pcg is the serial stream: inline (no pointer chase, no
+	// sync.Mutex), beside the precomputed generation plan.
 	pcg  mathx.PCG
 	plan *genPlan
 	// seed is the master seed, kept for deriving substreams (the
@@ -205,29 +185,12 @@ type Generator struct {
 }
 
 // NewGenerator validates the model set and prepares a generator with
-// the given seed on the default engine (GenV2). The caller's set is
-// not modified: session shares are normalized into generator-private
-// tables.
+// the given seed. The caller's set is not modified: session shares are
+// normalized into generator-private tables.
 func NewGenerator(set *ModelSet, seed int64) (*Generator, error) {
-	return NewGeneratorEngine(set, seed, GenV2)
-}
-
-// NewGeneratorEngine prepares a generator on an explicit generation
-// engine; the zero Engine value selects the default.
-func NewGeneratorEngine(set *ModelSet, seed int64, engine Engine) (*Generator, error) {
-	if engine == "" {
-		engine = GenV2
-	}
-	if engine != GenV1 && engine != GenV2 {
-		return nil, fmt.Errorf("core: unknown generation engine %q (want v1 or v2)", engine)
-	}
 	if set == nil || len(set.Services) == 0 {
 		return nil, errors.New("core: generator needs a non-empty model set")
 	}
-	// Normalize the shares into a private slice instead of mutating the
-	// caller's models. The copy performs the same share/total divisions
-	// the historical in-place Normalize did, so the v1 cumulative table
-	// is bit-identical.
 	var total float64
 	for i := range set.Services {
 		total += set.Services[i].SessionShare
@@ -239,28 +202,27 @@ func NewGeneratorEngine(set *ModelSet, seed int64, engine Engine) (*Generator, e
 	for i := range set.Services {
 		shares[i] = set.Services[i].SessionShare / total
 	}
-	g := &Generator{Set: set, Engine: engine, seed: uint64(seed)}
-	g.byName = make(map[string]int, len(set.Services))
-	for i := range set.Services {
-		g.byName[set.Services[i].Name] = i
-	}
-	if engine == GenV1 {
-		g.rng = rand.New(rand.NewSource(seed))
-		g.cum = make([]float64, len(set.Services))
-		var acc float64
-		for i, share := range shares {
-			acc += share
-			g.cum[i] = acc
-		}
-		return g, nil
-	}
 	plan, err := newGenPlan(set, shares)
 	if err != nil {
 		return nil, err
 	}
-	g.plan = plan
+	g := &Generator{Set: set, plan: plan, seed: uint64(seed)}
+	g.byName = make(map[string]int, len(set.Services))
+	for i := range set.Services {
+		g.byName[set.Services[i].Name] = i
+	}
 	g.pcg.SeedStream(uint64(seed), 0x67656e, 2)
 	return g, nil
+}
+
+// NewGeneratorEngine is NewGenerator behind an engine argument that
+// accepts only "" and GenV2. It exists for the bench/ harness, which
+// calls it, and goes with the next benchmark change.
+func NewGeneratorEngine(set *ModelSet, seed int64, engine Engine) (*Generator, error) {
+	if engine != "" && engine != GenV2 {
+		return nil, fmt.Errorf("core: unknown generation engine %q (want v2)", engine)
+	}
+	return NewGenerator(set, seed)
 }
 
 // Substream returns an independent generator on the (client, stream)
@@ -270,11 +232,8 @@ func NewGeneratorEngine(set *ModelSet, seed int64, engine Engine) (*Generator, e
 // pure functions of (master seed, client, stream) — the order they are
 // created or drawn from never affects any stream's output — so a
 // session-stream server can hand every consumer its own generator and
-// stay deterministic under any interleaving. Substreams are a v2
-// feature: v1's contract is the historical single math/rand stream,
-// which has no substream decomposition, so v1 generators return an
-// error.
-func (g *Generator) Substream(client, stream uint64) (*Generator, error) {
+// stay deterministic under any interleaving.
+func (g *Generator) Substream(client, stream uint64) *Generator {
 	return g.substream(genClientDomain, client, stream)
 }
 
@@ -282,38 +241,17 @@ func (g *Generator) Substream(client, stream uint64) (*Generator, error) {
 // The plan, byName table and ModelSet are shared read-only; only the
 // 16-byte PCG is per-substream state, so deriving one is allocation-
 // cheap enough to do per (BS, day) campaign cell.
-func (g *Generator) substream(domain, a, b uint64) (*Generator, error) {
-	if g.Engine != GenV2 {
-		return nil, fmt.Errorf("core: substreams need engine v2 (v1 preserves the historical single stream)")
-	}
-	sub := &Generator{Set: g.Set, Engine: g.Engine, plan: g.plan, seed: g.seed, byName: g.byName}
+func (g *Generator) substream(domain, a, b uint64) *Generator {
+	sub := &Generator{Set: g.Set, plan: g.plan, seed: g.seed, byName: g.byName}
 	sub.pcg.SeedStream(g.seed^domain, a, b)
-	return sub, nil
+	return sub
 }
 
-// PickServiceIndex draws a service index by session share, without
-// generating a session; callers can pair it with SessionFor to drive a
-// shared arrival realization across generators.
-func (g *Generator) PickServiceIndex() int { return g.pickService() }
-
-// pickService draws a service index by session share.
-func (g *Generator) pickService() int {
-	if g.Engine == GenV1 {
-		u := g.rng.Float64()
-		i := sort.SearchFloat64s(g.cum, u)
-		if i >= len(g.cum) {
-			i = len(g.cum) - 1
-		}
-		return i
-	}
-	return g.plan.svcPick.Pick(g.pcg.Float64())
-}
-
-// generateV2 draws one session of service index svc on the fast path:
-// both the volume and the duration cost one Gaussian variate and one
-// math.Exp, using the natural log of the volume to skip the logarithm
-// half of the power-law inversion.
-func (g *Generator) generateV2(svc int) GenSession {
+// generate draws one session of service index svc: both the volume
+// and the duration cost one Gaussian variate and one math.Exp, using
+// the natural log of the volume to skip the logarithm half of the
+// power-law inversion.
+func (g *Generator) generate(svc int) GenSession {
 	sp := &g.plan.svcs[svc]
 	v, lnV := sp.sampleVolumeLn(&g.pcg)
 	d := sp.sampleDurationLn(lnV, &g.pcg)
@@ -339,9 +277,9 @@ func (g *Generator) Minute(class int, peak bool) ([]GenSession, error) {
 
 // MinuteAppend generates one minute's sessions and appends them to
 // dst, returning the extended slice. Passing a buffer with spare
-// capacity makes the v2 steady state allocation-free (pinned by
+// capacity makes the steady state allocation-free (pinned by
 // TestGenV2MinuteAppendAllocs); the draw sequence is identical to
-// Minute on both engines.
+// Minute.
 func (g *Generator) MinuteAppend(dst []GenSession, class int, peak bool) ([]GenSession, error) {
 	if len(g.Set.Arrivals) == 0 {
 		return dst, errors.New("core: model set has no arrival models")
@@ -349,20 +287,11 @@ func (g *Generator) MinuteAppend(dst []GenSession, class int, peak bool) ([]GenS
 	if class < 0 || class >= len(g.Set.Arrivals) {
 		return dst, fmt.Errorf("core: arrival class %d out of range [0, %d)", class, len(g.Set.Arrivals))
 	}
-	if g.Engine == GenV1 {
-		n := g.Set.Arrivals[class].SampleCount(peak, g.rng)
-		dst = growSessions(dst, n)
-		for k := 0; k < n; k++ {
-			svc := g.pickService()
-			dst = append(dst, g.Set.Services[svc].Generate(g.rng))
-		}
-		return dst, nil
-	}
 	n := g.Set.Arrivals[class].SampleCountFast(peak, &g.pcg)
 	dst = growSessions(dst, n)
 	for k := 0; k < n; k++ {
 		svc := g.plan.svcPick.Pick(g.pcg.Float64())
-		dst = append(dst, g.generateV2(svc))
+		dst = append(dst, g.generate(svc))
 	}
 	return dst, nil
 }
@@ -379,16 +308,12 @@ func growSessions(dst []GenSession, n int) []GenSession {
 }
 
 // SessionFor generates a single session of the service at the given
-// index — the hot-path form of Session, pairing with PickServiceIndex
-// without a name round-trip.
+// index — the hot-path form of Session, without a name round-trip.
 func (g *Generator) SessionFor(idx int) (GenSession, error) {
 	if idx < 0 || idx >= len(g.Set.Services) {
 		return GenSession{}, fmt.Errorf("core: service index %d out of range [0, %d)", idx, len(g.Set.Services))
 	}
-	if g.Engine == GenV1 {
-		return g.Set.Services[idx].Generate(g.rng), nil
-	}
-	return g.generateV2(idx), nil
+	return g.generate(idx), nil
 }
 
 // Session generates a single session of the named service.

@@ -175,22 +175,6 @@ func TestGenerateCampaignCellInvariance(t *testing.T) {
 	}
 }
 
-// TestGenerateCampaignV1Rejected pins the engine gate: v1's contract is
-// the historical single stream, which has no parallel decomposition.
-func TestGenerateCampaignV1Rejected(t *testing.T) {
-	set := goldenModelSet()
-	g, err := NewGeneratorEngine(set, 1, GenV1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.GenerateCampaign(campaignSpecForTest(1)); err == nil {
-		t.Error("GenerateCampaign on a v1 generator did not error")
-	}
-	if _, err := g.Substream(1, 2); err == nil {
-		t.Error("Substream on a v1 generator did not error")
-	}
-}
-
 // TestGenerateCampaignValidation covers the spec error paths.
 func TestGenerateCampaignValidation(t *testing.T) {
 	set := goldenModelSet()
@@ -261,10 +245,7 @@ func TestSubstreamIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s12, err := g.Substream(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s12 := g.Substream(1, 2)
 	ref := make([]GenSession, 0, 8)
 	for i := 0; i < 8; i++ {
 		s, err := s12.SessionFor(i % len(set.Services))
@@ -275,14 +256,8 @@ func TestSubstreamIndependence(t *testing.T) {
 	}
 
 	// Different creation order, interleaved draws on a sibling.
-	s34, err := g.Substream(3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := g.Substream(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s34 := g.Substream(3, 4)
+	again := g.Substream(1, 2)
 	for i := 0; i < 8; i++ {
 		if _, err := s34.SessionFor(0); err != nil {
 			t.Fatal(err)

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"mobiletraffic/internal/dist"
 	"mobiletraffic/internal/fit"
@@ -115,36 +114,6 @@ func (m *VolumeModel) Hist(edges []float64) (*dist.Hist, error) {
 // MaxSampleVolume caps generated volumes at the top of the measurement
 // grid (~30 GB): the fitted mixture is only supported there.
 const MaxSampleVolume = 3e10
-
-// Sample draws one per-session traffic volume in bytes.
-func (m *VolumeModel) Sample(rng *rand.Rand) float64 {
-	u := rng.Float64() * m.totalWeight()
-	var v float64
-	switch {
-	case u < 1:
-		v = math.Pow(10, m.MainMu+m.MainSigma*rng.NormFloat64())
-	default:
-		u -= 1
-		for _, p := range m.Peaks {
-			if u < p.K {
-				v = math.Pow(10, p.Mu+p.Sigma*rng.NormFloat64())
-				break
-			}
-			u -= p.K
-		}
-		if v == 0 {
-			v = math.Pow(10, m.MainMu+m.MainSigma*rng.NormFloat64())
-		}
-	}
-	cap := m.MaxVolume
-	if cap <= 0 {
-		cap = MaxSampleVolume
-	}
-	if v > cap {
-		return cap
-	}
-	return v
-}
 
 // EMD returns the earth-mover distance between the model and a
 // measurement histogram on the histogram's grid — the §5.4 quality

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"mobiletraffic/internal/dist"
@@ -135,14 +134,15 @@ func TestVolumeModelPDFIntegratesToOne(t *testing.T) {
 }
 
 func TestVolumeModelSampleMatchesMixture(t *testing.T) {
-	m := &VolumeModel{MainMu: 6, MainSigma: 0.5, Peaks: []VolumeComponent{
+	sp := planFor(t, ServiceModel{Volume: VolumeModel{MainMu: 6, MainSigma: 0.5, Peaks: []VolumeComponent{
 		{K: 0.25, Mu: 8, Sigma: 0.1},
-	}}
-	rng := rand.New(rand.NewSource(1))
+	}}})
+	var rng mathx.PCG
+	rng.Seed(1, 1)
 	const n = 100000
 	inPeak := 0
 	for i := 0; i < n; i++ {
-		if math.Log10(m.Sample(rng)) > 7.5 {
+		if v, _ := sp.sampleVolumeLn(&rng); math.Log10(v) > 7.5 {
 			inPeak++
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"mobiletraffic/internal/core"
 	"mobiletraffic/internal/littrafgen"
 	"mobiletraffic/internal/services"
 )
@@ -579,53 +578,6 @@ func TestExpFig13VRANOrdering(t *testing.T) {
 	}
 }
 
-// TestExpTable2SlicingOrderingV1 re-runs the Table 2 headline shape on
-// the historical v1 generation engine: both engines must reproduce the
-// paper's ordering.
-func TestExpTable2SlicingOrderingV1(t *testing.T) {
-	env := sharedEnv(t)
-	r, err := ExpTable2(env, SlicingConfig{Antennas: 4, Days: 2, Seed: 3, Engine: core.GenV1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]StrategyResult{}
-	for _, s := range r.Strategies {
-		byName[s.Name] = s
-	}
-	model := byName["session-level models"]
-	if model.MeanSatisfied < 0.90 {
-		t.Errorf("v1 model satisfaction = %v, want >= 0.90", model.MeanSatisfied)
-	}
-	for _, bm := range []string{"bm_a", "bm_b"} {
-		if byName[bm].MeanSatisfied > model.MeanSatisfied {
-			t.Errorf("v1: %s (%v) beats the session-level model (%v)",
-				bm, byName[bm].MeanSatisfied, model.MeanSatisfied)
-		}
-	}
-}
-
-// TestExpFig13VRANOrderingV1 re-runs the Fig. 13b headline shape on the
-// v1 generation engine.
-func TestExpFig13VRANOrderingV1(t *testing.T) {
-	env := sharedEnv(t)
-	r, err := ExpFig13(env, VRANConfig{ESs: 4, RUsPerES: 5, Hours: 1, Seed: 7, Engine: core.GenV1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]VRANStrategy{}
-	for _, s := range r.Strategies {
-		byName[s.Name] = s
-	}
-	model := byName["session-level models"]
-	if model.PowerAPE.Median > 20 {
-		t.Errorf("v1 model power APE median = %v%%, want small", model.PowerAPE.Median)
-	}
-	if byName["bm_a"].PowerAPE.Median < model.PowerAPE.Median*3 {
-		t.Errorf("v1: bm_a power APE %v not well above model %v",
-			byName["bm_a"].PowerAPE.Median, model.PowerAPE.Median)
-	}
-}
-
 // TestExpFig13BmBDistinctFromBmA guards the bm_b construction: the
 // benchmark must be built from the literature BMB share vector, not
 // bm_a's measured shares (a regression once aliased the two, skewing
@@ -713,32 +665,30 @@ func TestNewEnvParallelDeterministic(t *testing.T) {
 
 // TestExpTable2WorkersBitIdentical pins the parallel-plane contract at
 // the experiment level: the Table 2 study is bit-identical for every
-// worker count on both engines, because antennas and day cells draw
-// from keyed substreams and fold in index order.
+// worker count, because antennas and day cells draw from keyed
+// substreams and fold in index order.
 func TestExpTable2WorkersBitIdentical(t *testing.T) {
 	env := sharedEnv(t)
-	for _, engine := range []core.Engine{core.GenV2, core.GenV1} {
-		base := SlicingConfig{Antennas: 4, Days: 2, Seed: 3, Engine: engine}
-		cfg1 := base
-		cfg1.Workers = 1
-		ref, err := ExpTable2(env, cfg1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg4 := base
-		cfg4.Workers = 4
-		got, err := ExpTable2(env, cfg4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ref.Strategies) != len(got.Strategies) {
-			t.Fatalf("%s: strategy counts differ", engine)
-		}
-		for i := range ref.Strategies {
-			if ref.Strategies[i] != got.Strategies[i] {
-				t.Errorf("%s: strategy %q differs between 1 and 4 workers:\n  %+v\n  %+v",
-					engine, ref.Strategies[i].Name, ref.Strategies[i], got.Strategies[i])
-			}
+	base := SlicingConfig{Antennas: 4, Days: 2, Seed: 3}
+	cfg1 := base
+	cfg1.Workers = 1
+	ref, err := ExpTable2(env, cfg1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg4 := base
+	cfg4.Workers = 4
+	got, err := ExpTable2(env, cfg4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Strategies) != len(got.Strategies) {
+		t.Fatal("strategy counts differ")
+	}
+	for i := range ref.Strategies {
+		if ref.Strategies[i] != got.Strategies[i] {
+			t.Errorf("strategy %q differs between 1 and 4 workers:\n  %+v\n  %+v",
+				ref.Strategies[i].Name, ref.Strategies[i], got.Strategies[i])
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"testing"
 
-	"mobiletraffic/internal/core"
 	"mobiletraffic/internal/littrafgen"
 	"mobiletraffic/internal/slicing"
 )
@@ -34,7 +33,7 @@ func hashResult(v any) string {
 
 // TestUseCaseRasterizationDigests pins the §6 outputs that go through
 // demand rasterization — Table 2, Fig. 12, Fig. 13 and the real, model
-// and category demand traces on both generation engines — to digests
+// and category demand traces — to digests
 // recorded before the per-slot loops were folded into
 // mathx.SpreadUniform. Any change to how a session's volume lands in
 // its slots, or to the order cells accumulate in, changes a digest.
@@ -45,9 +44,7 @@ func TestUseCaseRasterizationDigests(t *testing.T) {
 		"fig12":       "d182a17b3ce347c4705050c6e6ca46310206c0dcd688b1351af11bf613bf3869",
 		"fig13":       "b9991a5d656fe9f4d2e33a221939a11bff36f130c4a4c0e34bbe267f50d28f9d",
 		"real":        "5d5de8aaca3502daa8a58a634df38ba7a5ad54af3a4a64c8e4c07c31be07408f",
-		"model/v1":    "4e28da3aaff4184a7667a23c214306af679f0e9bf154cd2733872372e586f079",
 		"model/v2":    "420756126a4c86143e780ecb355d5caf83b522c3b6d7383667f71a2dff9f94fe",
-		"category/v1": "f17fa683b87f266557282e0856e8eb07ce02942c3b8f59b9bc5b92694247dbbb",
 		"category/v2": "ce868e784006c7383f9392ad4ad384b98b243919d9053dc8153511df11fa11b4",
 	}
 	got := map[string]string{}
@@ -80,18 +77,16 @@ func TestUseCaseRasterizationDigests(t *testing.T) {
 	}
 	catalogIdx, modelIdx := modeledIndices(env)
 	shares := [littrafgen.NumCategories]float64{0.5, 0.3, 0.2}
-	for _, engine := range []core.Engine{core.GenV1, core.GenV2} {
-		model, err := buildModelDemand(env, arr, 2, len(env.Catalog), catalogIdx, modelIdx, 11, engine, uint64(antenna), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got["model/"+string(engine)] = hashTrace(model)
-		cat, err := buildCategoryDemand(arr, 2, shares, 11, engine, uint64(antenna), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got["category/"+string(engine)] = hashTrace(cat)
+	model, err := buildModelDemand(env, arr, 2, len(env.Catalog), catalogIdx, modelIdx, 11, uint64(antenna), 2)
+	if err != nil {
+		t.Fatal(err)
 	}
+	got["model/v2"] = hashTrace(model)
+	cat, err := buildCategoryDemand(arr, 2, shares, 11, uint64(antenna), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["category/v2"] = hashTrace(cat)
 
 	for k, w := range want {
 		if got[k] != w {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"mobiletraffic/internal/core"
 	"mobiletraffic/internal/littrafgen"
@@ -23,9 +22,6 @@ type SlicingConfig struct {
 	Antennas int // default 10
 	Days     int // default 7
 	Seed     int64
-	// Engine selects the generation engine for the model and category
-	// reference traces; empty selects the default (core.GenV2).
-	Engine core.Engine
 	// Workers bounds the per-antenna worker pool (<= 0 uses every CPU).
 	// Results are bit-identical for every worker count: each antenna's
 	// streams are keyed by the antenna, not by execution order.
@@ -38,9 +34,6 @@ func (c SlicingConfig) withDefaults() SlicingConfig {
 	}
 	if c.Days <= 0 {
 		c.Days = 7
-	}
-	if c.Engine == "" {
-		c.Engine = core.GenV2
 	}
 	return c
 }
@@ -148,20 +141,19 @@ func dayWeightTable() []float64 {
 }
 
 // buildModelDemand generates a reference trace from the fitted models
-// with the antenna's own fitted arrival process. Engine GenV1 replays
-// the historical math/rand streams draw for draw on the serial path;
-// GenV2 runs on the parallel campaign plane — day cells keyed by
-// (key, day) generate concurrently on up to workers goroutines and
-// fold into the trace in day order, so the trace depends only on
-// (seed, key), never on the schedule. The fold consumes each cell as
-// it completes and recycles its storage, so the builder's transient
-// footprint is O(workers) day blocks, not the whole campaign.
-func buildModelDemand(env *Env, arr *core.ArrivalModel, days, numServices int, catalogIdx, modelIdx []int, seed int64, engine core.Engine, key uint64, workers int) (*slicing.DemandTrace, error) {
+// with the antenna's own fitted arrival process, on the parallel
+// campaign plane: day cells keyed by (key, day) generate concurrently
+// on up to workers goroutines and fold into the trace in day order, so
+// the trace depends only on (seed, key), never on the schedule. The
+// fold consumes each cell as it completes and recycles its storage, so
+// the builder's transient footprint is O(workers) day blocks, not the
+// whole campaign.
+func buildModelDemand(env *Env, arr *core.ArrivalModel, days, numServices int, catalogIdx, modelIdx []int, seed int64, key uint64, workers int) (*slicing.DemandTrace, error) {
 	trace, err := slicing.NewDemandTrace(numServices, days*24*60)
 	if err != nil {
 		return nil, err
 	}
-	gen, err := core.NewGeneratorEngine(env.Models, seed, engine)
+	gen, err := core.NewGenerator(env.Models, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -173,60 +165,29 @@ func buildModelDemand(env *Env, arr *core.ArrivalModel, days, numServices int, c
 	for k, mi := range modelIdx {
 		toCatalogIdx[mi] = catalogIdx[k]
 	}
-	if gen.Engine != core.GenV1 {
-		err := gen.GenerateCampaignFold(core.CampaignSpec{
-			Arrivals: []*core.ArrivalModel{arr},
-			Keys:     []uint64{key},
-			Days:     days,
-			Workers:  workers,
-		}, func(blk *core.DayBlock) error {
-			origin := float64(blk.Day) * 86400
-			for i := 0; i < blk.Sessions(); i++ {
-				ci := toCatalogIdx[blk.Svc[i]]
-				if ci < 0 {
-					continue
-				}
-				_ = trace.AddSession(slicing.SessionSpec{
-					Service:  ci,
-					Start:    origin + blk.Start[i],
-					Duration: blk.Duration[i],
-					Volume:   blk.Volume[i],
-				})
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return trace, nil
-	}
-	rng := rand.New(rand.NewSource(seed ^ 0x51c1))
-	dayW := dayWeightTable()
-	specs := make([]slicing.SessionSpec, 0, 64)
-	for m := 0; m < days*24*60; m++ {
-		// Transition-aware phase choice: shoulder minutes mix day and
-		// night modes exactly as the measured arrival process does.
-		peak := rng.Float64() < dayW[m%(24*60)]
-		n := arr.SampleCount(peak, rng)
-		specs = specs[:0]
-		for k := 0; k < n; k++ {
-			idx := gen.PickServiceIndex()
-			s, err := gen.SessionFor(idx)
-			if err != nil {
-				return nil, err
-			}
-			ci := toCatalogIdx[idx]
+	err = gen.GenerateCampaignFold(core.CampaignSpec{
+		Arrivals: []*core.ArrivalModel{arr},
+		Keys:     []uint64{key},
+		Days:     days,
+		Workers:  workers,
+	}, func(blk *core.DayBlock) error {
+		origin := float64(blk.Day) * 86400
+		for i := 0; i < blk.Sessions(); i++ {
+			ci := toCatalogIdx[blk.Svc[i]]
 			if ci < 0 {
 				continue
 			}
-			specs = append(specs, slicing.SessionSpec{
+			_ = trace.AddSession(slicing.SessionSpec{
 				Service:  ci,
-				Start:    float64(m)*60 + rng.Float64()*60,
-				Duration: s.Duration,
-				Volume:   s.Volume,
+				Start:    origin + blk.Start[i],
+				Duration: blk.Duration[i],
+				Volume:   blk.Volume[i],
 			})
 		}
-		_ = trace.AddSessions(specs)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return trace, nil
 }
@@ -304,75 +265,40 @@ func (t *demandTile) merge(trace *slicing.DemandTrace, d int) {
 }
 
 // buildCategoryDemand generates a 3-row category trace from the
-// literature models with the same arrival process. GenV1 replays the
-// historical serial streams; GenV2 decomposes into per-day cells —
-// sessions from littrafgen substreams keyed (key, day), phase/count/
-// start draws from a salted sibling PCG of the same keying — rasterized
-// concurrently into recycled per-day demand tiles and folded into the
-// trace in day order, so the trace depends only on (seed, key) and the
-// transient footprint is O(workers) minute grids, not the horizon's
-// session records.
-func buildCategoryDemand(arr *core.ArrivalModel, days int, shares [littrafgen.NumCategories]float64, seed int64, engine core.Engine, key uint64, workers int) (*slicing.DemandTrace, error) {
+// literature models with the same arrival process, decomposed into
+// per-day cells — sessions from littrafgen substreams keyed (key, day),
+// phase/count/start draws from a salted sibling PCG of the same keying
+// — rasterized concurrently into recycled per-day demand tiles and
+// folded into the trace in day order, so the trace depends only on
+// (seed, key) and the transient footprint is O(workers) minute grids,
+// not the horizon's session records.
+func buildCategoryDemand(arr *core.ArrivalModel, days int, shares [littrafgen.NumCategories]float64, seed int64, key uint64, workers int) (*slicing.DemandTrace, error) {
 	trace, err := slicing.NewDemandTrace(littrafgen.NumCategories, days*24*60)
 	if err != nil {
 		return nil, err
 	}
-	gen := littrafgen.NewGeneratorEngine(shares, seed, engine)
-	if gen.Engine != core.GenV1 {
-		var firstErr error
-		var errMu sync.Mutex
-		dayW := dayWeightTable()
-		foldErr := core.FoldTasks(days, workers, func(_, d int, tile *demandTile) {
-			tile.reset()
-			sub, err := gen.Substream(key, uint64(d))
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			var pcg mathx.PCG
-			pcg.SeedStream(uint64(seed)^catPhaseDomain, key, uint64(d))
-			maxCols := (days - d) * 24 * 60
-			for m := 0; m < 24*60; m++ {
-				peak := pcg.Float64() < dayW[m]
-				n := arr.SampleCountFast(peak, &pcg)
-				for k := 0; k < n; k++ {
-					s := sub.Sample()
-					tile.add(int(s.Category), float64(m)*60+pcg.Float64()*60, s.Duration, s.Volume, maxCols)
-				}
-			}
-		}, func(d int, tile *demandTile) error {
-			tile.merge(trace, d)
-			return nil
-		})
-		if foldErr != nil {
-			return nil, foldErr
-		}
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		return trace, nil
-	}
-	rng := rand.New(rand.NewSource(seed ^ 0xca7e))
+	gen := littrafgen.NewGenerator(shares, seed)
 	dayW := dayWeightTable()
-	specs := make([]slicing.SessionSpec, 0, 64)
-	for m := 0; m < days*24*60; m++ {
-		peak := rng.Float64() < dayW[m%(24*60)]
-		n := arr.SampleCount(peak, rng)
-		specs = specs[:0]
-		for k := 0; k < n; k++ {
-			s := gen.Sample()
-			specs = append(specs, slicing.SessionSpec{
-				Service:  int(s.Category),
-				Start:    float64(m)*60 + rng.Float64()*60,
-				Duration: s.Duration,
-				Volume:   s.Volume,
-			})
+	err = core.FoldTasks(days, workers, func(_, d int, tile *demandTile) {
+		tile.reset()
+		sub := gen.Substream(key, uint64(d))
+		var pcg mathx.PCG
+		pcg.SeedStream(uint64(seed)^catPhaseDomain, key, uint64(d))
+		maxCols := (days - d) * 24 * 60
+		for m := 0; m < 24*60; m++ {
+			peak := pcg.Float64() < dayW[m]
+			n := arr.SampleCountFast(peak, &pcg)
+			for k := 0; k < n; k++ {
+				s := sub.Sample()
+				tile.add(int(s.Category), float64(m)*60+pcg.Float64()*60, s.Duration, s.Volume, maxCols)
+			}
 		}
-		_ = trace.AddSessions(specs)
+	}, func(d int, tile *demandTile) error {
+		tile.merge(trace, d)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return trace, nil
 }
@@ -410,9 +336,7 @@ func ExpTable2(env *Env, cfg SlicingConfig) (*Table2Result, error) {
 	// Antennas are independent studies — per-antenna seeds and stream
 	// keys, read-only env — so they fan out on the shared worker pool
 	// into per-index slots and fold in antenna order below, keeping the
-	// result bit-identical for every worker count (both engines: the v1
-	// streams are per-antenna math/rand sources, the v2 streams are
-	// keyed substream families).
+	// result bit-identical for every worker count.
 	perAntenna := make([]map[string][]slicing.SLAResult, len(study))
 	antErrs := make([]error, len(study))
 	core.RunTasks(len(study), c.Workers, func(ai int) {
@@ -428,7 +352,7 @@ func ExpTable2(env *Env, cfg SlicingConfig) (*Table2Result, error) {
 			return
 		}
 		// Strategy 1: session-level model allocation.
-		modelRef, err := buildModelDemand(env, arr, refDays, numServices, catalogIdx, modelIdx, c.Seed+int64(a), c.Engine, uint64(a), 1)
+		modelRef, err := buildModelDemand(env, arr, refDays, numServices, catalogIdx, modelIdx, c.Seed+int64(a), uint64(a), 1)
 		if err != nil {
 			antErrs[ai] = err
 			return
@@ -447,7 +371,7 @@ func ExpTable2(env *Env, cfg SlicingConfig) (*Table2Result, error) {
 			{"bm_a", littrafgen.BMAShares()},
 			{"bm_b", littrafgen.BMBShares()},
 		} {
-			catRef, err := buildCategoryDemand(arr, refDays, bm.shares, c.Seed+int64(a)*7+31, c.Engine, uint64(a), 1)
+			catRef, err := buildCategoryDemand(arr, refDays, bm.shares, c.Seed+int64(a)*7+31, uint64(a), 1)
 			if err != nil {
 				antErrs[ai] = err
 				return
@@ -532,7 +456,7 @@ func ExpFig12(env *Env, cfg SlicingConfig) (*Fig12Result, error) {
 	if refDays < 4 {
 		refDays = 4
 	}
-	ref, err := buildModelDemand(env, arr, refDays, len(env.Catalog), catalogIdx, modelIdx, c.Seed+99, c.Engine, uint64(antenna), c.Workers)
+	ref, err := buildModelDemand(env, arr, refDays, len(env.Catalog), catalogIdx, modelIdx, c.Seed+99, uint64(antenna), c.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -595,9 +519,6 @@ type VRANConfig struct {
 	RUsPerES int // radio units per ES (default 5)
 	Hours    int // emulated hours starting 08:00 (default 4)
 	Seed     int64
-	// Engine selects the generation engine for the strategy session
-	// factories; empty selects the default (core.GenV2).
-	Engine core.Engine
 	// Workers bounds the strategy-series worker pool (<= 0 uses every
 	// CPU); each strategy owns its generators and seed, so the result
 	// is bit-identical for every worker count.
@@ -613,9 +534,6 @@ func (c VRANConfig) withDefaults() VRANConfig {
 	}
 	if c.Hours <= 0 {
 		c.Hours = 4
-	}
-	if c.Engine == "" {
-		c.Engine = core.GenV2
 	}
 	return c
 }
@@ -755,23 +673,18 @@ func ExpFig13(env *Env, cfg VRANConfig) (*Fig13Result, error) {
 		RealMeanActive: realRun.MeanActive(),
 	}
 
-	// Session factories per strategy. On GenV1 every factory draws from
-	// the per-strategy math/rand stream exactly as the historical code
-	// did; on GenV2 each generator owns its fast PCG stream and the
-	// session-level factory draws by model index (no name round-trips).
-	type factory func(k int, rng *rand.Rand) (vol, dur float64)
-	modelFor := make([]*core.ServiceModel, len(catalogIdx))
-	for i, mi := range modelIdx {
-		modelFor[i] = &env.Models.Services[mi]
-	}
-	bmA := littrafgen.NewGeneratorEngine(littrafgen.BMAShares(), cfg.Seed+5, c.Engine)
-	bmB := littrafgen.NewGeneratorEngine(littrafgen.BMBShares(), cfg.Seed+6, c.Engine)
+	// Session factories per strategy: each generator owns its PCG
+	// stream, and the session-level factory draws by model index (no
+	// name round-trips).
+	type factory func(k int) (vol, dur float64)
+	bmA := littrafgen.NewGenerator(littrafgen.BMAShares(), cfg.Seed+5)
+	bmB := littrafgen.NewGenerator(littrafgen.BMBShares(), cfg.Seed+6)
 	if realVolCount > 0 {
 		bmB.NormalizeTotal(realVolSum / realVolCount)
 	}
 	// bm_c keeps the measured (bm_a) shares: its strength is the
 	// per-category normalization, not the share vector.
-	bmC := littrafgen.NewGeneratorEngine(littrafgen.BMAShares(), cfg.Seed+7, c.Engine)
+	bmC := littrafgen.NewGenerator(littrafgen.BMAShares(), cfg.Seed+7)
 	var catMeans [littrafgen.NumCategories]float64
 	for cat := 0; cat < littrafgen.NumCategories; cat++ {
 		if catVolCount[cat] > 0 {
@@ -781,39 +694,21 @@ func ExpFig13(env *Env, cfg VRANConfig) (*Fig13Result, error) {
 	bmC.NormalizePerCategory(catMeans)
 
 	litFactory := func(gen *littrafgen.Generator) factory {
-		if c.Engine == core.GenV1 {
-			models := gen.Models
-			return func(k int, rng *rand.Rand) (float64, float64) {
-				cat := littrafgen.CategoryOf(env.Catalog[catalogIdx[k]])
-				s := models[cat].Sample(rng)
-				vol := s.Volume
-				if sc := gen.VolumeScale[cat]; sc > 0 && sc != 1 {
-					vol *= sc
-				}
-				return vol, s.Duration
-			}
-		}
-		return func(k int, _ *rand.Rand) (float64, float64) {
+		return func(k int) (float64, float64) {
 			s := gen.SampleCategory(littrafgen.CategoryOf(env.Catalog[catalogIdx[k]]))
 			return s.Volume, s.Duration
 		}
 	}
-	modelFactory := func(k int, rng *rand.Rand) (float64, float64) {
-		s := modelFor[k].Generate(rng)
-		return s.Volume, s.Duration
+	genModel, err := core.NewGenerator(env.Models, cfg.Seed+100)
+	if err != nil {
+		return nil, err
 	}
-	if c.Engine != core.GenV1 {
-		genModel, err := core.NewGeneratorEngine(env.Models, cfg.Seed+100, c.Engine)
+	modelFactory := func(k int) (float64, float64) {
+		s, err := genModel.SessionFor(modelIdx[k])
 		if err != nil {
-			return nil, err
+			return 0, 0
 		}
-		modelFactory = func(k int, _ *rand.Rand) (float64, float64) {
-			s, err := genModel.SessionFor(modelIdx[k])
-			if err != nil {
-				return 0, 0
-			}
-			return s.Volume, s.Duration
-		}
+		return s.Volume, s.Duration
 	}
 	strategies := []struct {
 		name string
@@ -844,7 +739,7 @@ func ExpFig13(env *Env, cfg VRANConfig) (*Fig13Result, error) {
 		for r := 0; r < rus; r++ {
 			for m := 0; m < minutes; m++ {
 				for _, k := range shared[r][m].services {
-					vol, dur := strat.f(k, srng)
+					vol, dur := strat.f(k)
 					start := float64(m)*60 + srng.Float64()*60
 					if err := series.AddSession(duOf(r), start, dur, vol); err != nil {
 						stratErrs[si] = err

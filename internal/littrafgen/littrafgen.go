@@ -14,9 +14,7 @@ package littrafgen
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
-	"mobiletraffic/internal/core"
 	"mobiletraffic/internal/mathx"
 	"mobiletraffic/internal/services"
 )
@@ -80,24 +78,6 @@ type Session struct {
 	Throughput float64 // bytes/second
 }
 
-// Sample draws a session from the category model: volume and duration
-// independently log-normal, throughput their ratio.
-func (m *CategoryModel) Sample(rng *rand.Rand) Session {
-	vol := math.Pow(10, m.VolMu+m.VolSigma*rng.NormFloat64())
-	dur := math.Pow(10, m.DurMu+m.DurSigma*rng.NormFloat64())
-	if dur < 1 {
-		dur = 1
-	}
-	cat := IW
-	switch m.Name {
-	case "CS":
-		cat = CS
-	case "MS":
-		cat = MS
-	}
-	return Session{Category: cat, Volume: vol, Duration: dur, Throughput: vol / dur}
-}
-
 // MeanVolume returns the analytic mean session volume in bytes.
 func (m *CategoryModel) MeanVolume() float64 {
 	s := m.VolSigma * math.Ln10
@@ -140,23 +120,10 @@ func BMBShares() [NumCategories]float64 {
 	return [NumCategories]float64{IW: 0.50, CS: 0.4211, MS: 0.0789}
 }
 
-// PickCategory draws a category according to the share vector.
-func PickCategory(shares [NumCategories]float64, rng *rand.Rand) Category {
-	u := rng.Float64() * (shares[IW] + shares[CS] + shares[MS])
-	if u < shares[IW] {
-		return IW
-	}
-	if u < shares[IW]+shares[CS] {
-		return CS
-	}
-	return MS
-}
-
 // Generator draws category-level sessions with the configured shares —
-// the complete benchmark workload generator. It follows the versioned
-// generation engines of internal/core: GenV1 replays the historical
-// math/rand draws, GenV2 (the default) samples both log-normals in the
-// natural-log domain on a PCG stream with precomputed constants.
+// the complete benchmark workload generator. It samples both
+// log-normals in the natural-log domain on a PCG stream with
+// precomputed constants.
 type Generator struct {
 	Shares [NumCategories]float64
 	Models [NumCategories]CategoryModel
@@ -165,34 +132,18 @@ type Generator struct {
 	// against the measurement totals. Index by category; zero values
 	// mean no scaling.
 	VolumeScale [NumCategories]float64
-	Engine      core.Engine
-	rng         *rand.Rand
 	pcg         mathx.PCG
 	// seed is the master seed, kept for deriving substreams.
 	seed uint64
 	// Per-category log-normal constants folded into natural log so a
-	// v2 draw is one Gaussian variate and one math.Exp per marginal.
+	// draw is one Gaussian variate and one math.Exp per marginal.
 	volMuLn, volSigLn [NumCategories]float64
 	durMuLn, durSigLn [NumCategories]float64
 }
 
-// NewGenerator builds a benchmark generator with the given shares on
-// the default engine.
+// NewGenerator builds a benchmark generator with the given shares.
 func NewGenerator(shares [NumCategories]float64, seed int64) *Generator {
-	return NewGeneratorEngine(shares, seed, core.GenV2)
-}
-
-// NewGeneratorEngine builds a benchmark generator on an explicit
-// generation engine (the zero value selects the default).
-func NewGeneratorEngine(shares [NumCategories]float64, seed int64, engine core.Engine) *Generator {
-	if engine == "" {
-		engine = core.GenV2
-	}
-	g := &Generator{Shares: shares, Models: Models(), Engine: engine, seed: uint64(seed)}
-	if engine == core.GenV1 {
-		g.rng = rand.New(rand.NewSource(seed))
-		return g
-	}
+	g := &Generator{Shares: shares, Models: Models(), seed: uint64(seed)}
 	g.pcg.SeedStream(uint64(seed), 0x117, 3)
 	for c := 0; c < NumCategories; c++ {
 		g.volMuLn[c] = g.Models[c].VolMu * math.Ln10
@@ -211,20 +162,16 @@ func NewGeneratorEngine(shares [NumCategories]float64, seed int64, engine core.E
 const benchmarkDomain uint64 = 0xBE4C_6D67_656E03BD
 
 // Substream returns an independent benchmark generator on the (a, b)
-// cell of this generator's stream family — same shares, models, scales
-// and engine, its own PCG seeded SeedStream(master^benchmarkDomain, a,
-// b). Cells are pure functions of (master seed, a, b), so parallel
+// cell of this generator's stream family — same shares, models and
+// scales, its own PCG seeded SeedStream(master^benchmarkDomain, a, b).
+// Cells are pure functions of (master seed, a, b), so parallel
 // benchmark generation keyed by (BS, day) is deterministic under any
-// schedule. Substreams are a v2 feature; v1 generators return an error.
-func (g *Generator) Substream(a, b uint64) (*Generator, error) {
-	if g.Engine != core.GenV2 {
-		return nil, fmt.Errorf("littrafgen: substreams need engine v2 (v1 preserves the historical single stream)")
-	}
+// schedule.
+func (g *Generator) Substream(a, b uint64) *Generator {
 	sub := &Generator{
 		Shares:      g.Shares,
 		Models:      g.Models,
 		VolumeScale: g.VolumeScale,
-		Engine:      g.Engine,
 		seed:        g.seed,
 		volMuLn:     g.volMuLn,
 		volSigLn:    g.volSigLn,
@@ -232,23 +179,13 @@ func (g *Generator) Substream(a, b uint64) (*Generator, error) {
 		durSigLn:    g.durSigLn,
 	}
 	sub.pcg.SeedStream(g.seed^benchmarkDomain, a, b)
-	return sub, nil
+	return sub
 }
 
-// Sample draws one session.
+// Sample draws one session: a cumulative compare over the three
+// shares (an alias table buys nothing at n = 3), then both log-normal
+// marginals in the natural-log domain.
 func (g *Generator) Sample() Session {
-	if g.Engine == core.GenV1 {
-		cat := PickCategory(g.Shares, g.rng)
-		s := g.Models[cat].Sample(g.rng)
-		if sc := g.VolumeScale[cat]; sc > 0 && sc != 1 {
-			s.Volume *= sc
-			s.Throughput *= sc
-		}
-		return s
-	}
-	// v2 fast path: cumulative compare over the three shares (an alias
-	// table buys nothing at n = 3), then both log-normal marginals in
-	// the natural-log domain.
 	u := g.pcg.Float64() * (g.Shares[IW] + g.Shares[CS] + g.Shares[MS])
 	cat := MS
 	if u < g.Shares[IW] {
@@ -264,14 +201,6 @@ func (g *Generator) Sample() Session {
 // Sample, where the category is fixed by a shared arrival realization
 // instead of the generator's share pick.
 func (g *Generator) SampleCategory(cat Category) Session {
-	if g.Engine == core.GenV1 {
-		s := g.Models[cat].Sample(g.rng)
-		if sc := g.VolumeScale[cat]; sc > 0 && sc != 1 {
-			s.Volume *= sc
-			s.Throughput *= sc
-		}
-		return s
-	}
 	vol := math.Exp(g.volMuLn[cat] + g.volSigLn[cat]*g.pcg.NormFloat64())
 	x := g.durMuLn[cat] + g.durSigLn[cat]*g.pcg.NormFloat64()
 	dur := 1.0

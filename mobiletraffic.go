@@ -67,14 +67,10 @@ type (
 	// GenSession is one generated session: volume, duration and mean
 	// throughput.
 	GenSession = core.GenSession
-	// GenEngine selects the generation-engine stream version: GenV1
-	// replays the historical math/rand stream byte for byte, GenV2 is
-	// the fast table-driven default.
-	GenEngine = core.Engine
 	// CampaignSpec describes a parallel generation campaign: a grid of
 	// (BS, day) cells, each drawing from its own keyed substream, so
 	// Generator.GenerateCampaign output is bit-identical for every
-	// worker count (GenV2 only).
+	// worker count.
 	CampaignSpec = core.CampaignSpec
 	// DayBlock is one (BS, day) cell of campaign output in columnar
 	// layout with a CSR per-minute index.
@@ -93,28 +89,11 @@ type (
 	FaultConfig = faults.Config
 )
 
-// Generation engine versions accepted by NewGeneratorEngine.
-const (
-	GenV1 = core.GenV1
-	GenV2 = core.GenV2
-)
-
 // NewGenerator validates a model set and returns a deterministic
-// session generator on the default engine (GenV2).
+// session generator.
 func NewGenerator(set *ModelSet, seed int64) (*Generator, error) {
 	return core.NewGenerator(set, seed)
 }
-
-// NewGeneratorEngine is NewGenerator with an explicit generation
-// engine: GenV1 for the historical byte-for-byte stream, GenV2 for the
-// fast table-driven default.
-func NewGeneratorEngine(set *ModelSet, seed int64, engine GenEngine) (*Generator, error) {
-	return core.NewGeneratorEngine(set, seed, engine)
-}
-
-// ParseGenEngine validates a generation-engine version string ("" and
-// "v2" select the default, "v1" the historical stream).
-func ParseGenEngine(s string) (GenEngine, error) { return core.ParseEngine(s) }
 
 // ParseModels reads a released parameter file (JSON).
 func ParseModels(data []byte) (*ModelSet, error) { return core.ModelSetFromJSON(data) }
