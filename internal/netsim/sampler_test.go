@@ -87,18 +87,16 @@ func TestSamplerV2Deterministic(t *testing.T) {
 	}
 }
 
-// TestSamplerV2DayAllocs pins the pooled session view: in steady state
-// a GenerateDay call synthesizes its thousands of sessions with at most
-// two heap allocations — the sampled day lives in a pooled DayColumns
-// scratch, so dropping the pool fails this test.
+// TestSamplerV2DayAllocs pins the session view's scratch reuse: in
+// steady state a GenerateDay call synthesizes its thousands of sessions
+// with at most two heap allocations — the sampled day lives in a
+// DayColumns scratch from the freelist, so losing the reuse fails this
+// test.
 func TestSamplerV2DayAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops pooled scratch at random")
-	}
 	sim := newTestSim(t, SimConfig{Seed: 42})
 	var kept int
 	yield := func(Session) { kept++ }
-	// Warm up lazy state (the pooled scratch, obs handles).
+	// Warm up lazy state (the scratch freelist, obs handles).
 	if err := sim.GenerateDay(2, 0, yield); err != nil {
 		t.Fatal(err)
 	}

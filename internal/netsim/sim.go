@@ -107,10 +107,14 @@ type Simulator struct {
 	// instrumentation is disabled.
 	obsSessions *obs.Counter
 	obsSplits   *obs.Counter
-	// colsPool recycles the DayColumns scratch GenerateDay samples
-	// into; a pool (not a plain field) because GenerateDay may be
-	// called from concurrent workers.
-	colsPool sync.Pool
+	// colsFree is the freelist of DayColumns scratch GenerateDay
+	// samples into, guarded by colsMu because GenerateDay may be called
+	// from concurrent workers. A freelist rather than a sync.Pool: a
+	// pool may drop buffers (the race detector drops them at random),
+	// while the freelist keeps every scratch it made, so a steady
+	// caller reuses its scratch instead of reallocating a full day.
+	colsMu   sync.Mutex
+	colsFree []*DayColumns
 	// maxDay is the analytic day-size bound MaxDaySessions returns,
 	// computed once at construction.
 	maxDay int
@@ -170,14 +174,6 @@ func NewSimulatorWithCatalog(topo *Topology, cfg SimConfig, profiles []services.
 		s.phase[m] = DayWeight(m)
 	}
 	s.maxDay = computeMaxDaySessions(topo, c, s.phase)
-	s.colsPool.New = func() any {
-		// Pooled scratch is born pre-sized to the campaign's largest
-		// day so the materializing path never grows it.
-		cols := new(DayColumns)
-		cols.Resize(s.maxDay)
-		cols.Resize(0)
-		return cols
-	}
 	rng := rand.New(rand.NewSource(c.Seed ^ 0x5eed))
 	s.bsProbs = make([][]float64, len(topo.BSs))
 	s.bsAlias = make([]*services.AliasTable, len(topo.BSs))
@@ -233,16 +229,41 @@ func BSDayRNG(masterSeed int64, bsIdx, day int) *rand.Rand {
 	return rand.New(rand.NewSource(int64(seed)))
 }
 
+// getCols takes a DayColumns scratch off the freelist, or makes one
+// pre-sized to the campaign's largest day so sampling never grows it.
+func (s *Simulator) getCols() *DayColumns {
+	s.colsMu.Lock()
+	if n := len(s.colsFree); n > 0 {
+		c := s.colsFree[n-1]
+		s.colsFree = s.colsFree[:n-1]
+		s.colsMu.Unlock()
+		return c
+	}
+	s.colsMu.Unlock()
+	c := new(DayColumns)
+	c.Resize(s.maxDay)
+	c.Resize(0)
+	return c
+}
+
+// putCols returns a scratch taken by getCols to the freelist.
+func (s *Simulator) putCols(c *DayColumns) {
+	s.colsMu.Lock()
+	s.colsFree = append(s.colsFree, c)
+	s.colsMu.Unlock()
+}
+
 // GenerateDay synthesizes all sessions established at the BS (by
 // topology index) during the given day, invoking yield for each in
 // minute-major order. It is the session-level view of SampleDayColumns:
-// the day is sampled into a pooled DayColumns scratch and each session
-// is read back out of the columns, so the stream is identical, session
-// for session, to the columnar one and deterministic in the simulator
-// seed. The pool keeps repeated calls free of per-day allocations.
+// the day is sampled into a DayColumns scratch from the freelist and
+// each session is read back out of the columns, so the stream is
+// identical, session for session, to the columnar one and
+// deterministic in the simulator seed. The freelist keeps repeated
+// calls free of per-day allocations.
 func (s *Simulator) GenerateDay(bsIdx, day int, yield func(Session)) error {
-	c := s.colsPool.Get().(*DayColumns)
-	defer s.colsPool.Put(c)
+	c := s.getCols()
+	defer s.putCols(c)
 	if err := s.SampleDayColumns(bsIdx, day, c); err != nil {
 		return err
 	}
