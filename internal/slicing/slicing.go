@@ -69,18 +69,6 @@ func (d *DemandTrace) AddSession(s SessionSpec) error {
 	return nil
 }
 
-// AddSessions adds a batch of sessions, stopping at the first invalid
-// spec — the bulk form of AddSession for generator trace fills working
-// from a reused session buffer.
-func (d *DemandTrace) AddSessions(specs []SessionSpec) error {
-	for i := range specs {
-		if err := d.AddSession(specs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Total returns the summed demand over all services per minute.
 func (d *DemandTrace) Total() []float64 {
 	out := make([]float64, d.Minutes)
