@@ -3,10 +3,15 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"mobiletraffic/internal/faults"
+	"mobiletraffic/internal/netsim"
 )
 
 // TestShardedBitIdentity is the acceptance gate of the sharded runner:
@@ -223,5 +228,62 @@ func TestCampaignInterruptPath(t *testing.T) {
 	}
 	if !bytes.Equal(refJSON, got) {
 		t.Fatal("resume after aborted campaign differs from the reference")
+	}
+}
+
+// TestCheckpointBytesPin pins the checkpoint wire format to digests of
+// real campaign output: the first shard's checkpoint file and the
+// re-encoded merged collection of a 5-shard, 10-BS, 2-day campaign
+// under the chaos acceptance fault mix (outages, truncation, loss,
+// duplication, signaling gaps and misclassification, so the ungrouped
+// ingest path fills the cells). Any change to the encoding, to the
+// in-memory cell layout's round trip through it, or to the collected
+// statistics changes a digest.
+func TestCheckpointBytesPin(t *testing.T) {
+	c := Config{NumBS: 10, Days: 2, Seed: 1}.withDefaults()
+	topo, err := netsim.NewTopology(netsim.TopologyConfig{NumBS: c.NumBS, Seed: c.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := netsim.NewSimulator(topo, netsim.SimConfig{Days: c.Days, Seed: c.Seed, MoveProb: c.MoveProb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := faults.New(faults.Config{
+		OutageProb: 0.20, TruncatedDayProb: 0.10, FlowLossProb: 0.05,
+		FlowDupProb: 0.02, SignalGapProb: 0.03, MisclassProb: 0.02, Seed: 1,
+	}, len(sim.Services))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	coll, rep, err := CollectSharded(context.Background(), sim, c, CampaignOptions{
+		Shards: 5, Workers: 1, CheckpointDir: dir, Faults: inj,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Degraded() || rep.Completed != 5 {
+		t.Fatalf("report %+v", rep)
+	}
+	shard, err := os.ReadFile(filepath.Join(dir, "shard-0000.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var merged bytes.Buffer
+	if err := coll.WriteCheckpoint(&merged); err != nil {
+		t.Fatal(err)
+	}
+	for _, pin := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"shard-0000.ckpt", shard, "cd6a026e4ba602491d30e2a17feacaf182815f1782b569b36bf6aa999103f9ce"},
+		{"merged", merged.Bytes(), "b639f6ce16d75e8c7636eed1da64717bd26a3ef61d61e7039eef9db8a5375235"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(pin.data)); got != pin.want {
+			t.Errorf("%s: checkpoint sha256 = %s (%d B), want %s", pin.name, got, len(pin.data), pin.want)
+		}
 	}
 }
