@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"sync"
 	"time"
 
 	"mobiletraffic/internal/campaign"
@@ -59,8 +60,14 @@ func campaignTag(c Config, numServices int) string {
 // serial or in-process-parallel collection for any shard count — each
 // BS's cells are computed by exactly one shard from its own
 // deterministic random streams, and the final fold runs in ascending
-// shard order.
+// shard order. Shard attempts take their collection scratch from a
+// freelist, so a campaign builds at most one per concurrent attempt.
 func CollectSharded(ctx context.Context, sim *netsim.Simulator, c Config, opts CampaignOptions) (*probe.Collector, *campaign.Report, error) {
+	return collectSharded(ctx, sim, c, opts, &scratchFreelist{sim: sim, faulted: opts.Faults != nil})
+}
+
+// collectSharded is CollectSharded drawing shard scratch from free.
+func collectSharded(ctx context.Context, sim *netsim.Simulator, c Config, opts CampaignOptions, free *scratchFreelist) (*probe.Collector, *campaign.Report, error) {
 	numBS := len(sim.Topo.BSs)
 	fn := campaign.ShardFunc(func(ctx context.Context, sh campaign.Shard, attempt int) (*probe.Collector, error) {
 		// Process-level faults gate the attempt before any shard work, so
@@ -72,7 +79,8 @@ func CollectSharded(ctx context.Context, sim *netsim.Simulator, c Config, opts C
 		if err != nil {
 			return nil, err
 		}
-		sc := newCollectScratch(sim, opts.Faults != nil)
+		sc := free.get()
+		defer free.put(sc)
 		for bs := sh.StartBS; bs < sh.EndBS; bs++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -103,6 +111,41 @@ func CollectSharded(ctx context.Context, sim *netsim.Simulator, c Config, opts C
 		Seed:          c.Seed,
 		ConfigTag:     tag,
 	}, fn)
+}
+
+// scratchFreelist hands shard attempts a collection scratch and takes
+// it back when the attempt returns, so shards reuse the ~5 MB of column
+// buffers instead of building them per attempt. It is mutex-guarded
+// rather than a sync.Pool for the reason netsim's GenerateDay freelist
+// is: a pool may drop what it holds, the freelist keeps every scratch.
+type scratchFreelist struct {
+	sim     *netsim.Simulator
+	faulted bool
+
+	mu    sync.Mutex
+	free  []*collectScratch
+	built int // scratches made so far
+}
+
+// get takes a scratch off the freelist, or builds one.
+func (f *scratchFreelist) get() *collectScratch {
+	f.mu.Lock()
+	if n := len(f.free); n > 0 {
+		sc := f.free[n-1]
+		f.free = f.free[:n-1]
+		f.mu.Unlock()
+		return sc
+	}
+	f.built++
+	f.mu.Unlock()
+	return newCollectScratch(f.sim, f.faulted)
+}
+
+// put returns a scratch taken by get to the freelist.
+func (f *scratchFreelist) put(sc *collectScratch) {
+	f.mu.Lock()
+	f.free = append(f.free, sc)
+	f.mu.Unlock()
 }
 
 // NewEnvSharded is NewEnv over the fault-tolerant sharded collection

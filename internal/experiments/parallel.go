@@ -83,22 +83,25 @@ func forEachBS(numBS, workers int, work func(worker, bs int) error) error {
 	return nil
 }
 
-// Collect runs the measurement campaign with one worker per CPU: each
-// worker simulates whole base stations into its own collector and the
-// partial collectors are merged afterwards. It is the one simulated
-// path into the collector — SampleDayColumns → DayStream.ApplyColumns
-// → ObserveColumns per (BS, day), then MergeAll. The per-(BS, day) random
-// streams of the simulator are independent, and merging is
-// order-insensitive, so the result is bit-identical to a serial run.
+// Collect runs the measurement campaign with one worker per CPU: the
+// workers simulate whole base stations and fold them into one shared
+// collector. It is the one simulated path into the collector —
+// SampleDayColumns → DayStream.ApplyColumns → ObserveColumns per
+// (BS, day). Each BS is folded by exactly one worker and every cell
+// belongs to one BS, so the workers write disjoint cells of a
+// collector pre-sized to the campaign extent (ObserveColumns documents
+// the concurrency contract). The per-(BS, day) random streams of the
+// simulator are independent, so the result is bit-identical to a
+// serial run.
 //
 // An optional fault injector is composed over the measurement plane:
 // every session of a (BS, day) cell is routed through that cell's
-// deterministic fault stream before reaching the worker's collector,
-// and cells hit by a whole-day probe outage skip session generation
-// entirely. A nil injector collects a pristine campaign. Fault
-// streams are derived per cell from the injector's own seed, so
-// realizations are identical regardless of worker count — and of
-// whether instrumentation is enabled.
+// deterministic fault stream before reaching the collector, and cells
+// hit by a whole-day probe outage skip session generation entirely. A
+// nil injector collects a pristine campaign. Fault streams are derived
+// per cell from the injector's own seed, so realizations are
+// identical regardless of worker count — and of whether
+// instrumentation is enabled.
 func Collect(sim *netsim.Simulator, days int, inj *faults.Injector) (*probe.Collector, error) {
 	span := obs.StartSpan("collect")
 	defer span.End()
@@ -111,22 +114,21 @@ func Collect(sim *netsim.Simulator, days int, inj *faults.Injector) (*probe.Coll
 		workers = 1
 	}
 
-	// Partials are pre-sized to the campaign extent so the dense cell
-	// slabs never re-layout mid-collection, and each worker reuses one
-	// collection scratch (columnar sampler and fault buffers) across
-	// its whole share of the campaign.
-	partials := make([]*probe.Collector, workers)
+	// The collector is pre-sized to the campaign extent, so its dense
+	// cell slab never re-layouts mid-collection and concurrent folds of
+	// distinct base stations are safe. Each worker reuses one
+	// collection scratch (columnar sampler and fault buffers) across its
+	// whole share of the campaign.
+	coll, err := probe.NewCollectorSized(len(sim.Services), numBS, days)
+	if err != nil {
+		return nil, err
+	}
 	scratches := make([]*collectScratch, workers)
-	for w := range partials {
-		coll, err := probe.NewCollectorSized(len(sim.Services), numBS, days)
-		if err != nil {
-			return nil, err
-		}
-		partials[w] = coll
+	for w := range scratches {
 		scratches[w] = newCollectScratch(sim, inj != nil)
 	}
 	workerSpans := make([]*obs.Span, workers)
-	err := forEachBS(numBS, workers, func(w, bs int) error {
+	err = forEachBS(numBS, workers, func(w, bs int) error {
 		if workerSpans[w] == nil {
 			// One span per worker covering its whole share of the
 			// campaign, on its own trace track (tid 1+w).
@@ -134,7 +136,7 @@ func Collect(sim *netsim.Simulator, days int, inj *faults.Injector) (*probe.Coll
 			s.SetTID(1 + w)
 			workerSpans[w] = s
 		}
-		return collectBS(sim, partials[w], scratches[w], inj, bs, days)
+		return collectBS(sim, coll, scratches[w], inj, bs, days)
 	})
 	for _, s := range workerSpans {
 		s.End()
@@ -142,15 +144,7 @@ func Collect(sim *netsim.Simulator, days int, inj *faults.Injector) (*probe.Coll
 	if err != nil {
 		return nil, err
 	}
-	// The dense slabs are index-aligned, so the partials fold into the
-	// first one with per-service shards running in parallel.
-	mergeSpan := span.Child("aggregate/merge")
-	defer mergeSpan.End()
-	out := partials[0]
-	if err := out.MergeAll(partials[1:], workers); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return coll, nil
 }
 
 // collectScratch bundles the reusable per-worker buffers of the

@@ -218,7 +218,7 @@ func (c *Collector) minuteCountGather(filter KeyFilter, minuteFilters []func(int
 					}
 				}
 				for m, v := range st.MinuteCounts {
-					acc[m] += v
+					acc[m] += float64(v)
 				}
 			}
 			if first {

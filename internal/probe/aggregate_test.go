@@ -60,7 +60,8 @@ func TestCollectorValidation(t *testing.T) {
 // TestObserveRejectsNonFinite checks that a session whose volume or
 // duration is NaN or infinite is rejected and folds nothing: NaN has
 // no histogram bin, and an infinite volume would poison the cell's
-// duration-volume sums.
+// duration-volume sums. A negative volume is rejected too: its
+// duration-volume sum would make the cell's checkpoint undecodable.
 func TestObserveRejectsNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
@@ -73,6 +74,7 @@ func TestObserveRejectsNonFinite(t *testing.T) {
 		{"+Inf duration", 1e6, inf},
 		{"-Inf volume", -inf, 10},
 		{"-Inf duration", 1e6, -inf},
+		{"negative volume", -1, 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := NewCollector(1)

@@ -2,9 +2,13 @@ package probe
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,8 +67,10 @@ func sameCollector(t *testing.T, a, b *Collector) {
 		if math.Float64bits(sa.Sessions) != math.Float64bits(sb.Sessions) {
 			t.Fatalf("cell %+v sessions %v vs %v", key, sa.Sessions, sb.Sessions)
 		}
+		if !slices.Equal(sa.MinuteCounts, sb.MinuteCounts) {
+			t.Fatalf("cell %+v minute counts differ", key)
+		}
 		runs := [][2][]float64{
-			{sa.MinuteCounts, sb.MinuteCounts},
 			{sa.Volume.P, sb.Volume.P},
 			{sa.DurVolSum, sb.DurVolSum},
 			{sa.DurCount, sb.DurCount},
@@ -212,6 +218,72 @@ func TestCheckpointCorruption(t *testing.T) {
 			t.Fatal("empty input decoded successfully")
 		}
 	})
+	t.Run("cell-payload", func(t *testing.T) {
+		for _, tc := range cellCorruptions(t, c, valid) {
+			if _, err := ReadCheckpoint(bytes.NewReader(tc.data)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+			}
+		}
+	})
+}
+
+// cellCorruption is a checkpoint whose first encoded cell carries a
+// value no collector can build, with the CRC trailer recomputed so only
+// the payload checks can catch it.
+type cellCorruption struct {
+	name string
+	data []byte
+	want string // substring of the decoder's error
+}
+
+// cellCorruptions patches single values of the first cell of valid,
+// the encoding of c: minute counts that are not non-negative int32s,
+// non-finite or negative totals and bins, and runs that no longer sum
+// to the session total.
+func cellCorruptions(tb testing.TB, c *Collector, valid []byte) []cellCorruption {
+	tb.Helper()
+	keys := c.Keys()
+	if len(keys) == 0 {
+		tb.Fatal("corruption fixture has no cells")
+	}
+	st, _ := c.Get(keys[0])
+	nv, nd := len(c.VolumeEdges)-1, len(c.DurationEdges)-1
+	// Header (magic, version, six dims, cell count), both edge grids,
+	// then the first cell's slab index.
+	sessionsOff := 4 + 2 + 6*4 + 8 + 8*(nv+1+nd+1) + 8
+	minutesOff := sessionsOff + 8
+	volOff := minutesOff + 8*netsim.MinutesPerDay
+	durSumOff := volOff + 8*nv
+	durCountOff := durSumOff + 8*nd
+	zeroMinute := slices.Index(st.MinuteCounts, 0)
+	zeroVol := slices.Index(st.Volume.P, 0)
+	zeroDur := slices.Index(st.DurCount, 0)
+	if zeroMinute < 0 || zeroVol < 0 || zeroDur < 0 {
+		tb.Fatal("corruption fixture's first cell has no empty bins")
+	}
+	patch := func(off int, v float64) []byte {
+		out := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint64(out[off:], math.Float64bits(v))
+		binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.Checksum(out[:len(out)-4], crcTable))
+		return out
+	}
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	var out []cellCorruption
+	for _, v := range []float64{0.5, -1, negZero, nan, inf, math.MaxInt32 + 1} {
+		out = append(out, cellCorruption{fmt.Sprintf("minute-count-%v", v),
+			patch(minutesOff+8*zeroMinute, v), "int32"})
+	}
+	for _, v := range []float64{nan, inf, -1} {
+		out = append(out,
+			cellCorruption{fmt.Sprintf("sessions-%v", v), patch(sessionsOff, v), "session total"},
+			cellCorruption{fmt.Sprintf("volume-bin-%v", v), patch(volOff+8*zeroVol, v), "volume bin"},
+			cellCorruption{fmt.Sprintf("dur-vol-sum-%v", v), patch(durSumOff, v), "duration-volume sum"},
+			cellCorruption{fmt.Sprintf("dur-count-%v", v), patch(durCountOff+8*zeroDur, v), "duration count"})
+	}
+	return append(out,
+		cellCorruption{"minute-sum", patch(minutesOff+8*zeroMinute, 1), "minute counts sum"},
+		cellCorruption{"volume-sum", patch(volOff+8*zeroVol, 1), "volume bins sum"},
+		cellCorruption{"dur-count-sum", patch(durCountOff+8*zeroDur, 1), "duration counts sum"})
 }
 
 // TestCheckpointSlabCap verifies the decoder refuses headers declaring
@@ -233,7 +305,8 @@ func TestCheckpointSlabCap(t *testing.T) {
 // FuzzReadCheckpoint asserts the decoder's core contract: arbitrary
 // bytes must either decode or error — never panic, never allocate
 // unboundedly (the slab cap is lowered so hostile headers are cheap to
-// reject). A successful decode must re-encode deterministically.
+// reject). A successful decode must re-encode deterministically. The
+// seeds include every cell-payload corruption of TestCheckpointCorruption.
 func FuzzReadCheckpoint(f *testing.F) {
 	c, err := NewCollectorSized(2, 3, 1)
 	if err != nil {
@@ -256,6 +329,9 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte(checkpointMagic))
 	f.Add([]byte{})
+	for _, tc := range cellCorruptions(f, c, valid) {
+		f.Add(tc.data)
+	}
 
 	old := MaxCheckpointCells
 	MaxCheckpointCells = 1 << 16

@@ -3,13 +3,17 @@ package probe
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
+	"sync"
 	"testing"
 
 	"mobiletraffic/internal/dist"
 	"mobiletraffic/internal/faults"
 	"mobiletraffic/internal/mathx"
 	"mobiletraffic/internal/netsim"
+	"mobiletraffic/internal/obs"
 )
 
 // mapOracle is a reference implementation of the Collector over a plain
@@ -35,7 +39,7 @@ func (o *mapOracle) observe(s netsim.Session) {
 		vol, _ := dist.NewHist(o.volEdges)
 		nd := len(o.durEdges) - 1
 		st = &DayStats{
-			MinuteCounts: make([]float64, netsim.MinutesPerDay),
+			MinuteCounts: make([]int32, netsim.MinutesPerDay),
 			Volume:       vol,
 			DurVolSum:    make([]float64, nd),
 			DurCount:     make([]float64, nd),
@@ -275,7 +279,7 @@ func TestDenseCollectorMatchesMapOracle(t *testing.T) {
 			}
 			want := o.cells[k]
 			if got.Sessions != want.Sessions ||
-				!equalFloats(got.MinuteCounts, want.MinuteCounts) ||
+				!slices.Equal(got.MinuteCounts, want.MinuteCounts) ||
 				!equalFloats(got.Volume.P, want.Volume.P) ||
 				!equalFloats(got.DurVolSum, want.DurVolSum) ||
 				!equalFloats(got.DurCount, want.DurCount) {
@@ -427,7 +431,7 @@ func requireCellsEqual(t *testing.T, label string, got, want *Collector) {
 		g, _ := got.Get(k)
 		w, _ := want.Get(k)
 		if g.Sessions != w.Sessions ||
-			!equalFloats(g.MinuteCounts, w.MinuteCounts) ||
+			!slices.Equal(g.MinuteCounts, w.MinuteCounts) ||
 			!equalFloats(g.Volume.P, w.Volume.P) ||
 			!equalFloats(g.DurVolSum, w.DurVolSum) ||
 			!equalFloats(g.DurCount, w.DurCount) {
@@ -600,4 +604,95 @@ func TestObserveColumnsFaultedMatchesScalar(t *testing.T) {
 		t.Fatalf("fault config produced %d down days of %d; the test needs a mix", downDays, numBS*days)
 	}
 	requireCellsEqual(t, "faulted session-order", colsColl, scalColl)
+}
+
+// TestObserveColumnsConcurrentDistinctBS pins ObserveColumns'
+// concurrency contract, the one the collection path's shared collector
+// rests on: goroutines folding disjoint base stations into one
+// pre-sized, instrumented collector must produce the serial fold cell
+// for cell, and the flow counters must account for every session. Even
+// base stations fold the sampler's grouped columns, odd ones
+// fault-filtered (ungrouped) columns, so both ingest paths and the
+// per-call flow tally run concurrently. CI's -race run checks that the
+// calls share nothing they write.
+func TestObserveColumnsConcurrentDistinctBS(t *testing.T) {
+	const numBS, days, workers = 10, 2, 4
+	old := obs.Default()
+	reg := obs.NewRegistry()
+	obs.SetDefault(reg)
+	t.Cleanup(func() { obs.SetDefault(old) })
+
+	sim := newOracleSim(t, numBS, days, 37)
+	numSvc := len(sim.Services)
+	fcfg := faults.Config{FlowLossProb: 0.1, FlowDupProb: 0.05, MisclassProb: 0.05, Seed: 41}
+	fold := func(c *Collector, inj *faults.Injector, cols, faulted *netsim.DayColumns, bs int) error {
+		for day := 0; day < days; day++ {
+			if err := sim.SampleDayColumns(bs, day, cols); err != nil {
+				return err
+			}
+			in := cols
+			if bs%2 == 1 {
+				inj.Day(bs, day).ApplyColumns(cols, faulted)
+				in = faulted
+			}
+			if err := c.ObserveColumns(bs, day, in); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	setup := func() (*Collector, *faults.Injector) {
+		c, err := NewCollectorSized(numSvc, numBS, days)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj, err := faults.New(fcfg, numSvc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, inj
+	}
+	flows := func() int64 {
+		var n int64
+		for s := 0; s < numSvc; s++ {
+			n += reg.Counter("probe_flows_tracked_total", "service", "svc"+strconv.Itoa(s)).Value()
+		}
+		return n
+	}
+
+	ser, serInj := setup()
+	var cols, faulted netsim.DayColumns
+	for bs := 0; bs < numBS; bs++ {
+		if err := fold(ser, serInj, &cols, &faulted, bs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serFlows := flows()
+
+	par, parInj := setup()
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var cols, faulted netsim.DayColumns
+			for bs := w; bs < numBS; bs += workers {
+				if err := fold(par, parInj, &cols, &faulted, bs); err != nil {
+					errs[w] = err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", w, err)
+		}
+	}
+	requireCellsEqual(t, "concurrent distinct-BS", par, ser)
+	if got, want := flows()-serFlows, int64(par.TotalSessions()); got != want || serFlows != want {
+		t.Fatalf("flow counters: serial %d, concurrent %d, want %d sessions each", serFlows, got, want)
+	}
 }
