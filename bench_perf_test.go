@@ -8,6 +8,7 @@ package mobiletraffic
 import (
 	"bytes"
 	"context"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -234,10 +235,8 @@ func BenchmarkTraceWriteCSV(b *testing.B) { benchmarkTraceWrite(b, trace.CSV) }
 // ≥2× less wall time than CSV.
 func BenchmarkTraceWriteBin(b *testing.B) { benchmarkTraceWrite(b, trace.Bin) }
 
-// BenchmarkTraceReadBin times decoding the same 1M-record stream from
-// MTTR bytes: block decode through reused column buffers, per-record
-// validation and the join into one exact-size slice.
-func BenchmarkTraceReadBin(b *testing.B) {
+// traceBenchBin is the 1M-record benchmark stream encoded as MTTR.
+func traceBenchBin(b *testing.B) ([]trace.Record, []byte) {
 	recs := traceBenchRecords()
 	var buf bytes.Buffer
 	w, err := trace.NewWriter(&buf, trace.Bin)
@@ -252,11 +251,17 @@ func BenchmarkTraceReadBin(b *testing.B) {
 	if err := w.Flush(); err != nil {
 		b.Fatal(err)
 	}
-	data := buf.Bytes()
+	return recs, buf.Bytes()
+}
+
+// benchmarkTraceRead times decoding the MTTR stream through the reader
+// open returns.
+func benchmarkTraceRead(b *testing.B, open func([]byte) io.Reader) {
+	recs, data := traceBenchBin(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		back, err := trace.Read(bytes.NewReader(data))
+		back, err := trace.Read(open(data))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -264,6 +269,21 @@ func BenchmarkTraceReadBin(b *testing.B) {
 			b.Fatalf("read %d records, want %d", len(back), len(recs))
 		}
 	}
+}
+
+// BenchmarkTraceReadBin times decoding the same 1M-record stream from
+// a seekable reader: a peek at the footer presizes the result, then
+// every block decodes through reused column buffers straight into it,
+// with per-record validation.
+func BenchmarkTraceReadBin(b *testing.B) {
+	benchmarkTraceRead(b, func(d []byte) io.Reader { return bytes.NewReader(d) })
+}
+
+// BenchmarkTraceReadBinStream times the same decode from a reader that
+// cannot seek, as from a pipe: each block lands in its own exact-size
+// chunk and the chunks are joined once the footer checks out.
+func BenchmarkTraceReadBinStream(b *testing.B) {
+	benchmarkTraceRead(b, func(d []byte) io.Reader { return struct{ io.Reader }{bytes.NewReader(d)} })
 }
 
 // BenchmarkTraceSummarize times trace.Summarize over the 1M-record

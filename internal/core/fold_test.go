@@ -245,3 +245,73 @@ func foldObjects(recs []runtime.MemProfileRecord) int64 {
 	}
 	return total
 }
+
+// TestGenerateCampaignFoldSlotBudget pins the fold's block storage on a
+// campaign of ascending arrival rates, the shape of the ten load
+// deciles. Cells arrive lightest first, so a slot recycled from a light
+// cell must not regrow toward each heavier one: a slot is allocated
+// once, at the campaign's largest cell estimate, and every block
+// allocation of a 2-worker fold fits in (window + workers) such slots.
+func TestGenerateCampaignFoldSlotBudget(t *testing.T) {
+	arrivals := make([]*ArrivalModel, 10)
+	for i := range arrivals {
+		mu := 3 * float64(i+1)
+		arrivals[i] = &ArrivalModel{PeakMu: mu, PeakSigma: mu / 10, OffShape: ParetoShape, OffScale: mu / 20}
+	}
+	g, err := NewGenerator(goldenModelSet(), 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 2
+	spec := CampaignSpec{Arrivals: arrivals, Days: 2, Workers: workers}
+	p, err := validateCampaign(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slotBytes := int64(p.slotCap)*(4+8+8+8) + int64(p.minutes+1)*4
+	budget := int64(foldWindow*workers+workers) * slotBytes
+
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := cellAllocBytes(t)
+	var sessions int
+	err = g.GenerateCampaignFold(spec, func(blk *DayBlock) error {
+		sessions += blk.Sessions()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := cellAllocBytes(t) - before
+	if got > budget {
+		t.Errorf("fold allocated %d B of block storage, budget %d B (%d slots of %d B)",
+			got, budget, foldWindow*workers+workers, slotBytes)
+	}
+	t.Logf("fold allocated %d B of block storage (%.1f slots of %d B) for %d sessions",
+		got, float64(got)/float64(slotBytes), slotBytes, sessions)
+}
+
+// cellAllocBytes returns the bytes allocated so far, per the memory
+// profile, directly by generateCell: the block columns and offsets,
+// not the draw scratch it grows through genScratch.grow.
+func cellAllocBytes(t *testing.T) int64 {
+	t.Helper()
+	// The profile publishes allocations a GC cycle late; two cycles
+	// flush everything up to the snapshot.
+	runtime.GC()
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+4096)
+	n, ok := runtime.MemProfile(recs, true)
+	if !ok {
+		t.Fatal("memory profile outgrew its snapshot buffer")
+	}
+	var total int64
+	for i := range recs[:n] {
+		f, _ := runtime.CallersFrames(recs[i].Stack()).Next()
+		if strings.HasSuffix(f.Function, ".(*Generator).generateCell") {
+			total += recs[i].AllocBytes
+		}
+	}
+	return total
+}

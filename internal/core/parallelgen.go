@@ -125,10 +125,24 @@ func (s *genScratch) grow(n int) {
 
 // campaignParams is the validated, defaulted form of a CampaignSpec.
 type campaignParams struct {
-	minutes int
-	weights []float64
+	minutes     int
+	startMinute int
+	weights     []float64
+	// dayWeight sums the phase weights over one day's minutes: the
+	// expected number of daytime-mode minutes in a cell.
+	dayWeight float64
+	// slotCap is the largest cellCapacity of the campaign, the size a
+	// fold slot is allocated at so it fits every later cell.
+	slotCap int
 	cells   int
 	workers int
+}
+
+// cellCapacity is the block capacity of one cell of the arrival model:
+// its expected session count plus a margin for days above the mean.
+func (p *campaignParams) cellCapacity(arr *ArrivalModel) int {
+	est := expectedCellSessions(arr, p.minutes, p.dayWeight)
+	return est + est/8 + 64
 }
 
 // validateCampaign checks a spec and resolves its defaults, shared by
@@ -166,6 +180,13 @@ func validateCampaign(spec CampaignSpec) (campaignParams, error) {
 	if spec.StartMinute < 0 {
 		return p, fmt.Errorf("core: campaign start minute %d is negative", spec.StartMinute)
 	}
+	p.startMinute = spec.StartMinute
+	for m := 0; m < p.minutes; m++ {
+		p.dayWeight += p.weights[(p.startMinute+m)%len(p.weights)]
+	}
+	for _, a := range spec.Arrivals {
+		p.slotCap = max(p.slotCap, p.cellCapacity(a))
+	}
 	p.cells = len(spec.Arrivals) * spec.Days
 	p.workers = resolveWorkers(p.cells, spec.Workers)
 	return p, nil
@@ -196,7 +217,7 @@ func (g *Generator) GenerateCampaign(spec CampaignSpec) ([]DayBlock, error) {
 		}
 		blk := &blocks[cell]
 		blk.BS, blk.Day = bs, day
-		g.generateCell(blk, spec.Arrivals[bs], key, uint64(day), p.minutes, spec.StartMinute, p.weights, &scratch[w])
+		g.generateCell(blk, spec.Arrivals[bs], key, uint64(day), &p, 0, &scratch[w])
 	})
 	if obs.Enabled() {
 		var sessions int64
@@ -235,7 +256,7 @@ func (g *Generator) GenerateCampaignFold(spec CampaignSpec, visit func(*DayBlock
 			key = spec.Keys[bs]
 		}
 		blk.BS, blk.Day = bs, day
-		g.generateCell(blk, spec.Arrivals[bs], key, uint64(day), p.minutes, spec.StartMinute, p.weights, &scratch[w])
+		g.generateCell(blk, spec.Arrivals[bs], key, uint64(day), &p, p.slotCap, &scratch[w])
 	}, func(cell int, blk *DayBlock) error {
 		sessions += int64(blk.Sessions())
 		minutes += int64(p.minutes)
@@ -251,11 +272,13 @@ func (g *Generator) GenerateCampaignFold(spec CampaignSpec, visit func(*DayBlock
 // expectedCellSessions estimates the mean session count of one
 // (BS, day) cell from the arrival model and the phase-weight profile:
 // each minute contributes the phase-weighted mix of the daytime
-// Gaussian mean and the (capped) nighttime Pareto mean. A fresh
-// block's first allocation lands at its steady-state size instead of
-// doubling toward it, which matters to callers that run many
-// short-lived folds (one per antenna study) under a memory budget.
-func expectedCellSessions(arr *ArrivalModel, minutes, startMinute int, weights []float64) int {
+// Gaussian mean and the (capped) nighttime Pareto mean, so a day of
+// the given minutes, dayWeight of them daytime in expectation, sums to
+// the closed form below. A fresh block's first allocation lands at its
+// steady-state size instead of doubling toward it, which matters to
+// callers that run many short-lived folds (one per antenna study)
+// under a memory budget.
+func expectedCellSessions(arr *ArrivalModel, minutes int, dayWeight float64) int {
 	// The sampler caps the Pareto rate at PeakMu/2; use the smaller of
 	// that cap and the uncapped Pareto mean scale*shape/(shape-1).
 	offMean := arr.PeakMu * 0.5
@@ -264,12 +287,7 @@ func expectedCellSessions(arr *ArrivalModel, minutes, startMinute int, weights [
 			offMean = m
 		}
 	}
-	var e float64
-	for m := 0; m < minutes; m++ {
-		w := weights[(startMinute+m)%len(weights)]
-		e += w*arr.PeakMu + (1-w)*offMean
-	}
-	return int(e)
+	return int(dayWeight*arr.PeakMu + (float64(minutes)-dayWeight)*offMean)
 }
 
 // generateCell fills one (BS, day) block from the cell's substream.
@@ -279,31 +297,37 @@ func expectedCellSessions(arr *ArrivalModel, minutes, startMinute int, weights [
 // uniforms even for peak-free models, noise Gaussians even at zero
 // noise), so the draw layout never depends on sampled structure and
 // two cells with the same key and day are always identical.
-// A block whose backing arrays are large enough is refilled in place
-// (the fold path recycles blocks through a freelist); a zero-valued
-// block allocates with an arrival-rate-derived capacity estimate.
-func (g *Generator) generateCell(blk *DayBlock, arr *ArrivalModel, key, day uint64, minutes, startMinute int, weights []float64, sc *genScratch) {
+// A block whose session columns already hold the cell's capacity
+// estimate (cellCapacity) is refilled in place: the fold path recycles
+// blocks through a freelist. Any other block allocates its columns
+// once, at the larger of that estimate and alloc. The fold passes the
+// campaign's largest estimate as alloc, so a slot first filled by a
+// light cell still fits every heavier one without regrowing;
+// GenerateCampaign passes 0, so each materialized block keeps its own
+// estimate.
+func (g *Generator) generateCell(blk *DayBlock, arr *ArrivalModel, key, day uint64, p *campaignParams, alloc int, sc *genScratch) {
 	var rng = g.pcg // copy the type, not the state:
 	rng.SeedStream(g.seed^genCampaignDomain, key, day)
 
+	minutes, startMinute, weights := p.minutes, p.startMinute, p.weights
 	if cap(blk.Offsets) >= minutes+1 {
 		blk.Offsets = blk.Offsets[:minutes+1]
 		blk.Offsets[0] = 0
 	} else {
 		blk.Offsets = make([]int32, minutes+1)
 	}
-	if blk.Svc != nil {
+	need := p.cellCapacity(arr)
+	if min(cap(blk.Svc), cap(blk.Volume), cap(blk.Duration), cap(blk.Start)) >= need {
 		blk.Svc = blk.Svc[:0]
 		blk.Volume = blk.Volume[:0]
 		blk.Duration = blk.Duration[:0]
 		blk.Start = blk.Start[:0]
 	} else {
-		est := expectedCellSessions(arr, minutes, startMinute, weights)
-		est += est/8 + 64
-		blk.Svc = make([]int32, 0, est)
-		blk.Volume = make([]float64, 0, est)
-		blk.Duration = make([]float64, 0, est)
-		blk.Start = make([]float64, 0, est)
+		c := max(need, alloc)
+		blk.Svc = make([]int32, 0, c)
+		blk.Volume = make([]float64, 0, c)
+		blk.Duration = make([]float64, 0, c)
+		blk.Start = make([]float64, 0, c)
 	}
 
 	plan := g.plan

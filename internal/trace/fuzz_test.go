@@ -40,7 +40,10 @@ func FuzzRead(f *testing.F) {
 // fuzzer mutates framing, encodings, dict entries, footer and trailer.
 // Any input must either fail cleanly or decode to records that pass
 // Validate — never panic, never over-allocate past the header caps,
-// and never return data whose CRC does not match.
+// and never return data whose CRC does not match. Every input is read
+// twice, seekable (presized from the footer) and unseekable (spilled
+// into chunks): the two paths must agree on whether it is an error
+// and on every record bit for bit.
 func FuzzReadBin(f *testing.F) {
 	seedRecords := [][]Record{
 		nil,
@@ -81,9 +84,14 @@ func FuzzReadBin(f *testing.F) {
 	f.Add([]byte("MTTR\x01\x00\x01\xff\xff\xff\xff\xff\xff")) // bad dict index
 	f.Fuzz(func(t *testing.T, data []byte) {
 		records, err := Read(bytes.NewReader(data))
+		streamed, serr := Read(unseekable(data))
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("seekable read err = %v, unseekable read err = %v", err, serr)
+		}
 		if err != nil {
 			return
 		}
+		sameBits(t, "seekable vs unseekable", records, streamed)
 		for i, rec := range records {
 			if vErr := rec.Validate(); vErr != nil {
 				t.Errorf("record %d parsed without error but fails Validate: %v", i, vErr)

@@ -112,10 +112,10 @@ func (w *Writer) Write(r Record) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	w.wrote++
+	var err error
 	switch w.format {
 	case CSV:
-		return w.csvw.Write([]string{
+		err = w.csvw.Write([]string{
 			strconv.FormatFloat(r.TimeS, 'f', 3, 64),
 			r.Service,
 			strconv.FormatFloat(r.Bytes, 'f', 0, 64),
@@ -123,13 +123,19 @@ func (w *Writer) Write(r Record) error {
 			strconv.FormatFloat(r.Throughput, 'f', 3, 64),
 		})
 	case Bin:
-		return w.binw.add(r)
+		err = w.binw.add(r)
 	default:
-		return w.jsonw.Encode(r)
+		err = w.jsonw.Encode(r)
 	}
+	if err != nil {
+		return err
+	}
+	w.wrote++
+	return nil
 }
 
-// Count returns how many records have been written.
+// Count returns how many records have been written: Write calls that
+// returned nil.
 func (w *Writer) Count() int { return w.wrote }
 
 // Flush drains buffered output; call it before closing the underlying
@@ -152,7 +158,9 @@ func (w *Writer) Flush() error {
 
 // Read parses a whole trace from r, auto-detecting the format from the
 // leading bytes ("MTTR" selects the columnar binary format, '{' JSON
-// lines, anything else CSV).
+// lines, anything else CSV). An MTTR trace read from an io.ReadSeeker
+// (a file, a bytes.Reader) decodes into one slice presized from its
+// footer; the trace may start at r's current offset.
 func Read(r io.Reader) ([]Record, error) {
 	br := bufio.NewReader(r)
 	first, err := br.Peek(4)
@@ -163,7 +171,11 @@ func Read(r io.Reader) ([]Record, error) {
 		return nil, err
 	}
 	if string(first) == binMagic {
-		return readBin(br)
+		hint, err := binSessionHint(r, br)
+		if err != nil {
+			return nil, err
+		}
+		return readBin(br, hint)
 	}
 	if first[0] == '{' {
 		return readJSON(br)
