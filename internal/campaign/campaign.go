@@ -12,9 +12,9 @@
 // Determinism: each base station belongs to exactly one shard, shard
 // collectors are index-aligned dense slabs, and the final fold runs in
 // ascending shard order (probe.MergeAllReport), so every destination
-// cell receives its (unique) contribution identically regardless of
-// shard count, worker count, retry history, or whether a shard was
-// recomputed or loaded from a bit-exact checkpoint. A resumed campaign
+// cell is the unique shard cell that holds it, handed over whole,
+// regardless of shard count, worker count, retry history, or whether a
+// shard was recomputed or loaded from a bit-exact checkpoint. A resumed campaign
 // therefore produces a bit-identical collector — and bit-identical
 // fitted models — to an uninterrupted run. A shard that exhausts its
 // retry budget degrades the campaign instead of failing it: the merge
@@ -33,6 +33,7 @@ import (
 	"runtime/debug"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mobiletraffic/internal/obs"
@@ -333,8 +334,10 @@ type runState struct {
 }
 
 // resume loads completed shard checkpoints recorded by a prior run's
-// manifest. Corrupt or missing checkpoints demote their shard back to
-// pending — recomputed, never trusted.
+// manifest. The checkpoints decode on up to cfg.Workers goroutines;
+// their outcomes, counters and events are then applied in shard order.
+// Corrupt or missing checkpoints demote their shard back to pending —
+// recomputed, never trusted.
 func (st *runState) resume(hash string) error {
 	prior, err := LoadManifest(st.cfg.CheckpointDir)
 	if err != nil {
@@ -346,18 +349,43 @@ func (st *runState) resume(hash string) error {
 	if err := prior.matches(hash, st.plan); err != nil {
 		return err
 	}
+	var done []int // shards with a checkpoint to load, ascending
 	for i, ms := range prior.Shards {
-		if (ms.Status != ShardDone && ms.Status != ShardResumed) || ms.Checkpoint == "" {
-			continue
+		if (ms.Status == ShardDone || ms.Status == ShardResumed) && ms.Checkpoint != "" {
+			done = append(done, i)
 		}
-		coll, err := probe.ReadCheckpointFile(filepath.Join(st.cfg.CheckpointDir, ms.Checkpoint))
-		if err != nil {
+	}
+	loaded := make([]*probe.Collector, len(prior.Shards))
+	var next atomic.Int64
+	next.Store(-1)
+	var wg sync.WaitGroup
+	for w := 0; w < min(st.cfg.Workers, len(done)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				k := int(next.Add(1))
+				if k >= len(done) {
+					return
+				}
+				i := done[k]
+				coll, err := probe.ReadCheckpointFile(filepath.Join(st.cfg.CheckpointDir, prior.Shards[i].Checkpoint))
+				if err == nil {
+					loaded[i] = coll
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, i := range done {
+		ms := prior.Shards[i]
+		if loaded[i] == nil {
 			// A torn or bit-rotted checkpoint is a recompute, not a
 			// failure: the codec's CRC caught it.
 			obs.CounterOf("campaign_checkpoint_corrupt_total").Inc()
 			continue
 		}
-		st.collectors[i] = coll
+		st.collectors[i] = loaded[i]
 		st.outcomes[i] = ShardOutcome{Shard: st.plan[i], Status: ShardResumed, Attempts: ms.Attempts}
 		st.manifest.Shards[i] = ManifestShard{
 			Index: ms.Index, StartBS: ms.StartBS, EndBS: ms.EndBS,
@@ -547,9 +575,9 @@ func (st *runState) report() *Report {
 }
 
 // merge folds the surviving shard collectors, in ascending shard
-// order, into one campaign collector; failed shards appear as skipped
-// partials in the merge report. Merging into a fresh collector keeps
-// every shard checkpoint immutable on disk.
+// order, into one campaign collector, consuming them; failed shards
+// appear as skipped partials in the merge report. Shard checkpoints on
+// disk are never touched.
 func (st *runState) merge(report *Report) (*probe.Collector, error) {
 	span := obs.StartSpan("campaign/merge")
 	defer span.End()

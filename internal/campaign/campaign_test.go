@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -366,6 +367,58 @@ func TestResumeCorruptCheckpoint(t *testing.T) {
 		t.Fatalf("report %+v (recomputed %d), want shard 1 recomputed", rep, recomputed.Load())
 	}
 	sameCells(t, ref, coll)
+}
+
+// TestResumeWorkersBitIdentical resumes the same checkpoint directory
+// with checkpoints decoding on one and on four goroutines: both resumes
+// demote the torn checkpoint among the parallel loads to a recompute,
+// and both yield collectors whose encodings equal the reference's.
+func TestResumeWorkersBitIdentical(t *testing.T) {
+	const numBS, shards = 12, 6
+	encode := func(c *probe.Collector) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := c.WriteCheckpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := encode(reference(t, numBS))
+	dir := t.TempDir()
+	cfg := Config{NumBS: numBS, Shards: shards, CheckpointDir: dir, ConfigTag: "test-campaign"}
+	if _, _, err := Run(context.Background(), cfg, testShardFunc(numBS)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, checkpointName(3))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Resume = true
+	inner := testShardFunc(numBS)
+	for _, workers := range []int{1, 4} {
+		if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Workers = workers
+		var recomputed atomic.Int64
+		coll, rep, err := Run(context.Background(), cfg, func(ctx context.Context, sh Shard, attempt int) (*probe.Collector, error) {
+			if sh.Index != 3 {
+				return nil, fmt.Errorf("shard %d recomputed despite a valid checkpoint", sh.Index)
+			}
+			recomputed.Add(1)
+			return inner(ctx, sh, attempt)
+		})
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		if recomputed.Load() != 1 || rep.Resumed != shards-1 || rep.Completed != 1 {
+			t.Fatalf("%d workers: report %+v (recomputed %d), want shard 3 recomputed", workers, rep, recomputed.Load())
+		}
+		if !bytes.Equal(encode(coll), want) {
+			t.Fatalf("%d workers: resumed collector differs from the reference", workers)
+		}
+	}
 }
 
 // TestResumeConfigMismatch verifies a checkpoint directory cannot be

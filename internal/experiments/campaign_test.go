@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +15,7 @@ import (
 
 	"mobiletraffic/internal/faults"
 	"mobiletraffic/internal/netsim"
+	"mobiletraffic/internal/probe"
 )
 
 // TestShardedBitIdentity is the acceptance gate of the sharded runner:
@@ -238,8 +242,88 @@ func TestCampaignInterruptPath(t *testing.T) {
 // duplication, signaling gaps and misclassification, so the ungrouped
 // ingest path fills the cells). Any change to the encoding, to the
 // in-memory cell layout's round trip through it, or to the collected
-// statistics changes a digest.
+// statistics changes a digest. The version-1 oracle encoding of the
+// same collectors is pinned too: its digests are those of the last
+// version-1 release, so the statistics are the ones it wrote.
 func TestCheckpointBytesPin(t *testing.T) {
+	dir := t.TempDir()
+	coll := pinCampaign(t, dir, false)
+	shardPath := filepath.Join(dir, "shard-0000.ckpt")
+	shard, err := os.ReadFile(shardPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardColl, err := probe.ReadCheckpointFile(shardPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var merged bytes.Buffer
+	if err := coll.WriteCheckpoint(&merged); err != nil {
+		t.Fatal(err)
+	}
+	shardV1 := writeCheckpointV1(shardColl)
+	for _, pin := range []struct {
+		name string
+		data []byte
+		want string
+		size int
+	}{
+		{"shard-0000.ckpt", shard, "bd98b2f5c26f759c45c2fe0f1302c91a1b8933d7afee35bffe0b76c7ae594ec8", 193759},
+		{"merged", merged.Bytes(), "1f832263f16a1444a34be4def4f08d8960c5716b939ca41c0c48e70fbbf5568f", 817410},
+		{"shard-0000.ckpt v1", shardV1, "cd6a026e4ba602491d30e2a17feacaf182815f1782b569b36bf6aa999103f9ce", 1275546},
+		{"merged v1", writeCheckpointV1(coll), "b639f6ce16d75e8c7636eed1da64717bd26a3ef61d61e7039eef9db8a5375235", 5411738},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(pin.data)); got != pin.want || len(pin.data) != pin.size {
+			t.Errorf("%s: checkpoint sha256 = %s (%d B), want %s (%d B)", pin.name, got, len(pin.data), pin.want, pin.size)
+		}
+	}
+	if 5*len(shard) > len(shardV1) {
+		t.Errorf("shard checkpoint is %d B, more than 1/5 of its %d B version-1 encoding", len(shard), len(shardV1))
+	}
+}
+
+// TestResumeOverV1Checkpoints resumes a campaign whose checkpoint
+// directory holds version-1 shard files: the decoder refuses each as
+// an unsupported version, so the resume recomputes every shard and
+// still yields the collection of the original run.
+func TestResumeOverV1Checkpoints(t *testing.T) {
+	dir := t.TempDir()
+	ref := pinCampaign(t, dir, false)
+	var want bytes.Buffer
+	if err := ref.WriteCheckpoint(&want); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "shard-*.ckpt"))
+	if err != nil || len(paths) != 5 {
+		t.Fatalf("shard checkpoints %v (err %v), want 5", paths, err)
+	}
+	for _, path := range paths {
+		coll, err := probe.ReadCheckpointFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, writeCheckpointV1(coll), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := probe.ReadCheckpointFile(path); err == nil || !strings.Contains(err.Error(), "unsupported checkpoint version 1") {
+			t.Fatalf("version-1 checkpoint: err = %v", err)
+		}
+	}
+	coll := pinCampaign(t, dir, true)
+	var got bytes.Buffer
+	if err := coll.WriteCheckpoint(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("resume over version-1 checkpoints changed the collection")
+	}
+}
+
+// pinCampaign runs (or, with resume, resumes) the checkpoint pin
+// campaign in dir and returns its merged collector. A resume must
+// recompute every shard: the callers leave no checkpoint it can load.
+func pinCampaign(t *testing.T, dir string, resume bool) *probe.Collector {
+	t.Helper()
 	c := Config{NumBS: 10, Days: 2, Seed: 1}.withDefaults()
 	topo, err := netsim.NewTopology(netsim.TopologyConfig{NumBS: c.NumBS, Seed: c.Seed})
 	if err != nil {
@@ -256,34 +340,49 @@ func TestCheckpointBytesPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
 	coll, rep, err := CollectSharded(context.Background(), sim, c, CampaignOptions{
-		Shards: 5, Workers: 1, CheckpointDir: dir, Faults: inj,
+		Shards: 5, Workers: 1, CheckpointDir: dir, Faults: inj, Resume: resume,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Degraded() || rep.Completed != 5 {
+	if rep.Degraded() || rep.Completed != 5 || rep.Resumed != 0 {
 		t.Fatalf("report %+v", rep)
 	}
-	shard, err := os.ReadFile(filepath.Join(dir, "shard-0000.ckpt"))
-	if err != nil {
-		t.Fatal(err)
+	return coll
+}
+
+// writeCheckpointV1 is the version-1 checkpoint encoder, kept as an
+// oracle of the statistics the pins cover: the version-2 header and
+// CRC trailer, and cells of raw f64 values — slab index (u64), session
+// total, minute counts, volume bins, duration-volume sums, duration
+// counts.
+func writeCheckpointV1(c *probe.Collector) []byte {
+	numBS, days := c.Extent()
+	keys := c.Keys()
+	b := append([]byte(nil), "MTCP"...)
+	b = binary.LittleEndian.AppendUint16(b, 1)
+	for _, v := range []int{c.NumServices, numBS, days, netsim.MinutesPerDay, len(c.VolumeEdges), len(c.DurationEdges)} {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
 	}
-	var merged bytes.Buffer
-	if err := coll.WriteCheckpoint(&merged); err != nil {
-		t.Fatal(err)
-	}
-	for _, pin := range []struct {
-		name string
-		data []byte
-		want string
-	}{
-		{"shard-0000.ckpt", shard, "cd6a026e4ba602491d30e2a17feacaf182815f1782b569b36bf6aa999103f9ce"},
-		{"merged", merged.Bytes(), "b639f6ce16d75e8c7636eed1da64717bd26a3ef61d61e7039eef9db8a5375235"},
-	} {
-		if got := fmt.Sprintf("%x", sha256.Sum256(pin.data)); got != pin.want {
-			t.Errorf("%s: checkpoint sha256 = %s (%d B), want %s", pin.name, got, len(pin.data), pin.want)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(keys)))
+	f64s := func(vs ...float64) {
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 		}
 	}
+	f64s(c.VolumeEdges...)
+	f64s(c.DurationEdges...)
+	for _, k := range keys {
+		st, _ := c.Get(k)
+		b = binary.LittleEndian.AppendUint64(b, uint64((k.Service*numBS+k.BS)*days+k.Day))
+		f64s(st.Sessions)
+		for _, n := range st.MinuteCounts {
+			f64s(float64(n))
+		}
+		f64s(st.Volume.P...)
+		f64s(st.DurVolSum...)
+		f64s(st.DurCount...)
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
 }

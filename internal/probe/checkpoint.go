@@ -3,12 +3,15 @@ package probe
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"mobiletraffic/internal/netsim"
 	"mobiletraffic/internal/obs"
@@ -16,36 +19,64 @@ import (
 
 // Checkpoint codec: the compact binary serialization of a (partial)
 // Collector that a sharded campaign writes after each completed shard
-// and reloads on resume. The layout, all little-endian:
+// and reloads on resume. The layout:
 //
 //	magic "MTCP" | version u16
 //	numServices u32 | numBS u32 | days u32 | minutesPerDay u32
 //	numVolumeEdges u32 | numDurationEdges u32 | numCells u64
 //	volume edges  [numVolumeEdges]f64
 //	duration edges [numDurationEdges]f64
-//	numCells × { slabIndex u64 | Sessions f64
-//	             | MinuteCounts [minutesPerDay]f64
-//	             | Volume.P    [numVolumeEdges-1]f64
-//	             | DurVolSum   [numDurationEdges-1]f64
-//	             | DurCount    [numDurationEdges-1]f64 }
+//	numCells × { slabIndex uv | Sessions uv
+//	             | MinuteCounts [minutesPerDay]uv
+//	             | Volume.P     [numVolumeEdges-1]uv
+//	             | DurCount     [numDurationEdges-1]uv
+//	             | DurVolSum    [numDurationEdges-1]f64 }
 //	crc32c u32   (Castagnoli, over every preceding byte)
+//
+// Fixed-width fields are little-endian; uv is an unsigned LEB128
+// varint (encoding/binary's Uvarint) in its minimal form.
 //
 // Only populated cells are written, in ascending slab order, so the
 // encoding of a collector is deterministic and a sparse shard stays
-// small. Floats are stored as raw IEEE-754 bits, so a decoded
+// small. Every count a cell holds is a whole number, mostly 0 or 1, so
+// it travels as a varint of one byte or a few; the duration-volume
+// sums are real-valued and travel as raw IEEE-754 bits. A float count
+// below 2^53 converts to its varint and back exactly, and the encoder
+// refuses any other count (no collector builds one), so a decoded
 // collector is bit-identical to the encoded one — the property the
-// resume-determinism argument stands on (DESIGN.md). Minute counts are
-// int32 in memory and f64 on the wire: every int32 is exact in a
-// float64, and the decoder accepts a count only if it converts back to
-// the same int32, so the round trip is exact both ways.
+// resume-determinism argument stands on (DESIGN.md).
 //
-// The decoder accepts only cells a collector can build: finite,
-// non-negative payloads whose minute counts, volume histogram and
-// duration counts each sum to the cell's session total.
+// The decoder accepts only cells a collector can build: minute counts
+// up to MaxInt32, other counts below 2^53, finite non-negative
+// duration-volume sums, and minute counts, volume histogram and
+// duration counts that each sum to the cell's session total. It also
+// refuses non-minimal varints, so every file it accepts re-encodes to
+// the same bytes. Version 1 files (every value a raw f64) are refused
+// as an unsupported version.
 const (
 	checkpointMagic   = "MTCP"
-	CheckpointVersion = 1
+	CheckpointVersion = 2
 )
+
+// Bounds of the varint fields. A minute count is an int32 in memory
+// and at most MaxInt32 on the wire (5 varint bytes); every other count
+// is a float64 holding a whole number below 2^53 (8 varint bytes).
+const (
+	maxCheckpointCount = 1<<53 - 1
+	maxMinuteLen       = 5
+	maxCountLen        = 8
+)
+
+// maxCellBytes bounds one encoded cell on grids of nv volume bins and
+// nd duration bins: the decoder's read window.
+func maxCellBytes(nv, nd int) int {
+	return binary.MaxVarintLen64 + maxCountLen + netsim.MinutesPerDay*maxMinuteLen +
+		(nv+nd)*maxCountLen + nd*8
+}
+
+// checkpointBufSize is the I/O buffer of the checkpoint writer and
+// reader: a v2 shard file of the default grids is a few hundred KB.
+const checkpointBufSize = 1 << 16
 
 // MaxCheckpointCells caps the (services × BS × days) slab size a
 // decoder will allocate, guarding ReadCheckpoint against corrupt or
@@ -83,116 +114,121 @@ func (cr *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// WriteCheckpoint encodes the collector in the checkpoint format.
+// WriteCheckpoint encodes the collector in the checkpoint format. It
+// fails, having written part of the encoding, on a cell count the
+// format cannot carry exactly (see appendCell).
 func (c *Collector) WriteCheckpoint(w io.Writer) error {
 	span := obs.StartSpan("checkpoint/write")
 	defer span.End()
 	cw := &crcWriter{w: w}
-	var scratch [8]byte
-	putU16 := func(v uint16) error {
-		binary.LittleEndian.PutUint16(scratch[:2], v)
-		_, err := cw.Write(scratch[:2])
-		return err
-	}
-	putU32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		_, err := cw.Write(scratch[:4])
-		return err
-	}
-	putU64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(scratch[:8], v)
-		_, err := cw.Write(scratch[:8])
-		return err
-	}
-	// Reusable encode buffer sized for the largest float64 run.
-	maxRun := netsim.MinutesPerDay
-	if n := len(c.VolumeEdges); n > maxRun {
-		maxRun = n
-	}
-	if n := len(c.DurationEdges); n > maxRun {
-		maxRun = n
-	}
-	buf := make([]byte, maxRun*8)
-	putF64s := func(vs []float64) error {
-		b := buf[:len(vs)*8]
-		for i, v := range vs {
-			binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(v))
-		}
-		_, err := cw.Write(b)
-		return err
-	}
-	putCounts := func(vs []int32) error {
-		b := buf[:len(vs)*8]
-		for i, v := range vs {
-			binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(float64(v)))
-		}
-		_, err := cw.Write(b)
-		return err
-	}
-
-	if _, err := cw.Write([]byte(checkpointMagic)); err != nil {
-		return err
-	}
-	if err := putU16(CheckpointVersion); err != nil {
-		return err
-	}
-	for _, v := range []uint32{
-		uint32(c.NumServices), uint32(c.numBS), uint32(c.days),
-		netsim.MinutesPerDay, uint32(len(c.VolumeEdges)), uint32(len(c.DurationEdges)),
-	} {
-		if err := putU32(v); err != nil {
-			return err
-		}
-	}
 	var nCells uint64
 	for _, st := range c.cells {
 		if st != nil {
 			nCells++
 		}
 	}
-	if err := putU64(nCells); err != nil {
-		return err
+	nv, nd := len(c.VolumeEdges)-1, len(c.DurationEdges)-1
+	buf := make([]byte, 0, maxCellBytes(nv, nd))
+	buf = append(buf, checkpointMagic...)
+	buf = binary.LittleEndian.AppendUint16(buf, CheckpointVersion)
+	for _, v := range []uint32{
+		uint32(c.NumServices), uint32(c.numBS), uint32(c.days),
+		netsim.MinutesPerDay, uint32(len(c.VolumeEdges)), uint32(len(c.DurationEdges)),
+	} {
+		buf = binary.LittleEndian.AppendUint32(buf, v)
 	}
-	if err := putF64s(c.VolumeEdges); err != nil {
-		return err
+	buf = binary.LittleEndian.AppendUint64(buf, nCells)
+	for _, edges := range [][]float64{c.VolumeEdges, c.DurationEdges} {
+		for _, e := range edges {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e))
+		}
 	}
-	if err := putF64s(c.DurationEdges); err != nil {
+	if _, err := cw.Write(buf); err != nil {
 		return err
 	}
 	for i, st := range c.cells {
 		if st == nil {
 			continue
 		}
-		if err := putU64(uint64(i)); err != nil {
-			return err
+		var err error
+		if buf, err = appendCell(buf[:0], uint64(i), st); err != nil {
+			return fmt.Errorf("probe: checkpoint cell %d: %w", i, err)
 		}
-		if err := putF64s([]float64{st.Sessions}); err != nil {
+		if _, err := cw.Write(buf); err != nil {
 			return err
-		}
-		if err := putCounts(st.MinuteCounts); err != nil {
-			return err
-		}
-		for _, run := range [][]float64{st.Volume.P, st.DurVolSum, st.DurCount} {
-			if err := putF64s(run); err != nil {
-				return err
-			}
 		}
 	}
 	obs.CounterOf("campaign_checkpoint_cells_total").Add(int64(nCells))
-	crc := cw.crc
-	binary.LittleEndian.PutUint32(scratch[:4], crc)
-	_, err := w.Write(scratch[:4]) // trailer is outside its own CRC
+	var trailer [4]byte
+	binary.LittleEndian.PutUint32(trailer[:], cw.crc)
+	_, err := w.Write(trailer[:]) // trailer is outside its own CRC
 	return err
+}
+
+// appendCell appends the encoding of the cell at slab index idx to buf.
+// It fails on a count the varint form cannot carry exactly: a negative
+// minute count, or a session total, volume bin or duration count that
+// is not a whole number in [0, 2^53).
+func appendCell(buf []byte, idx uint64, st *DayStats) ([]byte, error) {
+	buf = binary.AppendUvarint(buf, idx)
+	var err error
+	if buf, err = appendCount(buf, st.Sessions); err != nil {
+		return nil, fmt.Errorf("session total: %w", err)
+	}
+	var sign int32
+	for _, n := range st.MinuteCounts {
+		sign |= n
+		if n < 0x80 {
+			buf = append(buf, byte(n))
+		} else {
+			buf = binary.AppendUvarint(buf, uint64(n))
+		}
+	}
+	if sign < 0 {
+		m := slices.IndexFunc(st.MinuteCounts, func(n int32) bool { return n < 0 })
+		return nil, fmt.Errorf("minute %d count %d is negative", m, st.MinuteCounts[m])
+	}
+	for _, run := range []struct {
+		name string
+		vs   []float64
+	}{{"volume bin", st.Volume.P}, {"duration count", st.DurCount}} {
+		for i, v := range run.vs {
+			if buf, err = appendCount(buf, v); err != nil {
+				return nil, fmt.Errorf("%s %d: %w", run.name, i, err)
+			}
+		}
+	}
+	for _, v := range st.DurVolSum {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	return buf, nil
+}
+
+// appendCount appends a float count as a varint. The count must be a
+// whole number in [0, 2^53) — the values that convert to uint64 and
+// back to the same bits, which rules out fractions, negatives, -0,
+// NaN, infinities and counts too large for a float64 to hold exactly.
+func appendCount(buf []byte, v float64) ([]byte, error) {
+	u := uint64(v)
+	if !(v < 1<<53) || math.Float64bits(float64(u)) != math.Float64bits(v) {
+		return nil, fmt.Errorf("count %v is not a whole number in [0, 2^53)", v)
+	}
+	if u < 0x80 {
+		return append(buf, byte(u)), nil
+	}
+	return binary.AppendUvarint(buf, u), nil
 }
 
 // ReadCheckpoint decodes a checkpoint into a fresh Collector. It
 // validates the magic, version, dimensions, every cell's payload (see
-// checkCell) and the trailing CRC, and returns an error — never panics
-// — on truncated, bit-flipped or otherwise malformed input.
+// readCell) and the trailing CRC, and returns an error — never panics
+// — on truncated, bit-flipped or otherwise malformed input. Cells are
+// decoded from a buffered window no larger than one cell's bound, so
+// the input is never held in memory whole.
 func ReadCheckpoint(r io.Reader) (*Collector, error) {
 	span := obs.StartSpan("checkpoint/read")
 	defer span.End()
-	br := bufio.NewReaderSize(r, 1<<16)
+	br := bufio.NewReaderSize(r, checkpointBufSize)
 	cr := &crcReader{r: br}
 	var scratch [8]byte
 	getU16 := func() (uint16, error) {
@@ -213,20 +249,9 @@ func ReadCheckpoint(r io.Reader) (*Collector, error) {
 		}
 		return binary.LittleEndian.Uint64(scratch[:8]), nil
 	}
-	var buf []byte
-	// getRun reads a run of n f64 values into the reused buffer.
-	getRun := func(n int) ([]byte, error) {
-		need := n * 8
-		if cap(buf) < need {
-			buf = make([]byte, need)
-		}
-		b := buf[:need]
-		_, err := io.ReadFull(cr, b)
-		return b, err
-	}
 	getF64s := func(dst []float64) error {
-		b, err := getRun(len(dst))
-		if err != nil {
+		b := make([]byte, 8*len(dst))
+		if _, err := io.ReadFull(cr, b); err != nil {
 			return err
 		}
 		for i := range dst {
@@ -265,9 +290,11 @@ func ReadCheckpoint(r io.Reader) (*Collector, error) {
 	if nVolEdges < 2 || nVolEdges > 1<<20 || nDurEdges < 2 || nDurEdges > 1<<20 {
 		return nil, fmt.Errorf("probe: checkpoint edge counts %d/%d out of range", nVolEdges, nDurEdges)
 	}
-	slab := uint64(numServices) * uint64(numBS) * uint64(days)
-	if slab > MaxCheckpointCells {
-		return nil, fmt.Errorf("probe: checkpoint slab %d cells exceeds cap %d", slab, MaxCheckpointCells)
+	// services × BS stays below 2^52; the product with days may not
+	// fit in 64 bits, and a wrapped slab must not pass the cap.
+	hi, slab := bits.Mul64(uint64(numServices)*uint64(numBS), uint64(days))
+	if hi != 0 || slab > MaxCheckpointCells {
+		return nil, fmt.Errorf("probe: checkpoint slab %d×%d×%d cells exceeds cap %d", numServices, numBS, days, MaxCheckpointCells)
 	}
 	nCells, err := getU64()
 	if err != nil {
@@ -288,10 +315,23 @@ func ReadCheckpoint(r io.Reader) (*Collector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("probe: checkpoint grids: %w", err)
 	}
-	var one [1]float64
+
+	// Each cell is parsed straight out of the reader's buffer: peek the
+	// largest cell the grids allow, decode, then checksum and discard
+	// the bytes the cell used.
+	window := maxCellBytes(int(nVolEdges)-1, int(nDurEdges)-1)
+	if window > br.Size() {
+		br = bufio.NewReaderSize(br, window)
+	}
+	crc := cr.crc
 	prev := int64(-1)
 	for n := uint64(0); n < nCells; n++ {
-		idx, err := getU64()
+		b, err := br.Peek(window)
+		if err != nil && !errors.Is(err, io.EOF) {
+			return nil, fmt.Errorf("probe: checkpoint cell %d: %w", n, err)
+		}
+		cell := cellReader{b: b}
+		idx, err := cell.uvarint(math.MaxUint64)
 		if err != nil {
 			return nil, fmt.Errorf("probe: checkpoint cell %d index: %w", n, err)
 		}
@@ -301,35 +341,18 @@ func ReadCheckpoint(r io.Reader) (*Collector, error) {
 		prev = int64(idx)
 		st := c.newCell()
 		c.cells[idx] = st
-		if err := getF64s(one[:]); err != nil {
+		if err := cell.readCell(st); err != nil {
 			return nil, fmt.Errorf("probe: checkpoint cell %d: %w", n, err)
 		}
-		st.Sessions = one[0]
-		b, err := getRun(len(st.MinuteCounts))
-		if err != nil {
-			return nil, fmt.Errorf("probe: checkpoint cell %d payload: %w", n, err)
-		}
-		minutes, err := decodeCounts(st.MinuteCounts, b)
-		if err != nil {
-			return nil, fmt.Errorf("probe: checkpoint cell %d: %w", n, err)
-		}
-		for _, run := range [][]float64{st.Volume.P, st.DurVolSum, st.DurCount} {
-			if err := getF64s(run); err != nil {
-				return nil, fmt.Errorf("probe: checkpoint cell %d payload: %w", n, err)
-			}
-		}
-		if err := checkCell(st, minutes); err != nil {
-			return nil, fmt.Errorf("probe: checkpoint cell %d: %w", n, err)
-		}
+		crc = crc32.Update(crc, crcTable, b[:cell.pos])
+		br.Discard(cell.pos) // cannot fail: the bytes are buffered
 	}
-	want := cr.crc
-	// The trailer is read from the underlying reader so it does not
-	// fold into its own checksum.
+	// The trailer does not fold into its own checksum.
 	if _, err := io.ReadFull(br, scratch[:4]); err != nil {
 		return nil, fmt.Errorf("probe: checkpoint trailer: %w", err)
 	}
-	if got := binary.LittleEndian.Uint32(scratch[:4]); got != want {
-		return nil, fmt.Errorf("probe: checkpoint CRC mismatch (stored %08x, computed %08x)", got, want)
+	if got := binary.LittleEndian.Uint32(scratch[:4]); got != crc {
+		return nil, fmt.Errorf("probe: checkpoint CRC mismatch (stored %08x, computed %08x)", got, crc)
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("probe: trailing bytes after checkpoint")
@@ -337,36 +360,83 @@ func ReadCheckpoint(r io.Reader) (*Collector, error) {
 	return c, nil
 }
 
-// decodeCounts decodes a run of f64 minute counts from b into dst and
-// returns their sum. It accepts a value only if it is an int32 that
-// converts back to the same bits: this rejects fractions, negatives,
-// -0, NaN, infinities and values above MaxInt32, and keeps re-encoding
-// byte-exact. (A value outside the int32 range converts to some int32
-// that cannot convert back to it.) The loop folds every mismatch into
-// one flag and locates the offending value only on failure, so valid
-// input runs without a branch per value.
-func decodeCounts(dst []int32, b []byte) (sum int64, err error) {
-	b = b[:len(dst)*8]
-	var diff uint64
-	var sign int32
-	for i := range dst {
-		bits := binary.LittleEndian.Uint64(b[i*8:])
-		n := int32(math.Float64frombits(bits))
-		diff |= bits ^ math.Float64bits(float64(n))
-		sign |= n
-		sum += int64(n)
-		dst[i] = n
+// cellReader decodes one cell from the front of a peeked window; pos
+// counts the bytes consumed. Running off the end of the window means
+// the input ended mid-cell (or the cell is longer than any valid one).
+type cellReader struct {
+	b   []byte
+	pos int
+}
+
+// uvarint decodes a minimal varint no larger than max. The cell loops
+// take one-byte values, nearly every count, inline and call this for
+// the rest.
+func (r *cellReader) uvarint(max uint64) (uint64, error) {
+	v, n := binary.Uvarint(r.b[r.pos:])
+	switch {
+	case n == 0:
+		return 0, fmt.Errorf("truncated varint: %w", io.ErrUnexpectedEOF)
+	case n < 0:
+		return 0, errors.New("varint overflows 64 bits")
+	case n > 1 && r.b[r.pos+n-1] == 0:
+		// A multi-byte varint ending in a zero byte has a shorter form.
+		return 0, errors.New("overlong varint")
+	case v > max:
+		return 0, fmt.Errorf("varint %d exceeds %d", v, max)
 	}
-	if diff == 0 && sign >= 0 {
-		return sum, nil
+	r.pos += n
+	return v, nil
+}
+
+// readCell decodes the payload that follows a cell's slab index into
+// st and checks it (see checkCell).
+func (r *cellReader) readCell(st *DayStats) error {
+	sessions, err := r.uvarint(maxCheckpointCount)
+	if err != nil {
+		return fmt.Errorf("session total: %w", err)
 	}
-	for i, n := range dst {
-		bits := binary.LittleEndian.Uint64(b[i*8:])
-		if n < 0 || bits != math.Float64bits(float64(n)) {
-			return 0, fmt.Errorf("minute %d count %v is not a non-negative int32", i, math.Float64frombits(bits))
+	st.Sessions = float64(sessions)
+	var minutes int64
+	for m := range st.MinuteCounts {
+		if p := r.pos; p < len(r.b) && r.b[p] < 0x80 {
+			st.MinuteCounts[m] = int32(r.b[p])
+			minutes += int64(r.b[p])
+			r.pos = p + 1
+			continue
+		}
+		v, err := r.uvarint(math.MaxInt32)
+		if err != nil {
+			return fmt.Errorf("minute %d count: %w", m, err)
+		}
+		st.MinuteCounts[m] = int32(v)
+		minutes += int64(v)
+	}
+	for _, run := range []struct {
+		name string
+		vs   []float64
+	}{{"volume bin", st.Volume.P}, {"duration count", st.DurCount}} {
+		for i := range run.vs {
+			if p := r.pos; p < len(r.b) && r.b[p] < 0x80 {
+				run.vs[i] = float64(r.b[p])
+				r.pos = p + 1
+				continue
+			}
+			v, err := r.uvarint(maxCheckpointCount)
+			if err != nil {
+				return fmt.Errorf("%s %d: %w", run.name, i, err)
+			}
+			run.vs[i] = float64(v)
 		}
 	}
-	return 0, fmt.Errorf("minute counts are not non-negative int32s")
+	sums := st.DurVolSum
+	if len(r.b)-r.pos < 8*len(sums) {
+		return fmt.Errorf("duration-volume sums: %w", io.ErrUnexpectedEOF)
+	}
+	for i := range sums {
+		sums[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.pos+8*i:]))
+	}
+	r.pos += 8 * len(sums)
+	return checkCell(st, minutes)
 }
 
 // checkCell rejects a decoded cell that no collector could have built:
@@ -405,8 +475,10 @@ func checkCell(st *DayStats, minutes int64) error {
 	return nil
 }
 
-// finiteNonNeg reports whether v is a finite value >= 0.
-func finiteNonNeg(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
+// finiteNonNeg reports whether v is a finite value >= 0 other than -0,
+// which no collector accumulates (every run starts at +0 and only adds
+// non-negative values).
+func finiteNonNeg(v float64) bool { return !math.Signbit(v) && v <= math.MaxFloat64 }
 
 // WriteCheckpointFile writes the checkpoint crash-safely: the encoding
 // goes to a temporary file in the destination directory, is fsynced,
@@ -420,7 +492,7 @@ func (c *Collector) WriteCheckpointFile(path string) error {
 		return fmt.Errorf("probe: checkpoint temp: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	bw := bufio.NewWriterSize(tmp, 1<<20)
+	bw := bufio.NewWriterSize(tmp, checkpointBufSize)
 	if err := c.WriteCheckpoint(bw); err != nil {
 		tmp.Close()
 		return fmt.Errorf("probe: checkpoint encode: %w", err)

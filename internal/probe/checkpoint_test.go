@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"mobiletraffic/internal/mathx"
 	"mobiletraffic/internal/netsim"
 )
 
@@ -108,6 +110,37 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("re-encoding a decoded checkpoint changed the bytes")
 	}
+}
+
+// TestCheckpointWideGridRoundTrip round-trips a collector whose grids
+// make one cell's bound larger than the reader's default buffer, so
+// the decoder must widen its window.
+func TestCheckpointWideGridRoundTrip(t *testing.T) {
+	vol := mathx.LinSpace(2, 10.5, 8001)
+	if maxCellBytes(len(vol)-1, len(DefaultDurationEdges)-1) <= checkpointBufSize {
+		t.Fatal("grid too narrow to need a wider window")
+	}
+	c, err := NewCollectorGrids(2, 2, 1, vol, DefaultDurationEdges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []netsim.Session{
+		{Service: 0, BS: 0, Minute: 9, Volume: 5e5, Duration: 40},
+		{Service: 1, BS: 1, Minute: 900, Volume: 3e8, Duration: 4000},
+	} {
+		if err := c.Observe(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := c.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCollector(t, c, got)
 }
 
 func TestCheckpointEmptyCollector(t *testing.T) {
@@ -237,57 +270,105 @@ type cellCorruption struct {
 }
 
 // cellCorruptions patches single values of the first cell of valid,
-// the encoding of c: minute counts that are not non-negative int32s,
-// non-finite or negative totals and bins, and runs that no longer sum
-// to the session total.
+// the encoding of c: malformed varints (truncated, overlong, above
+// 64 bits), counts above their bounds, non-finite or negative
+// duration-volume sums, runs that no longer sum to the session total,
+// and slab indices out of range or order.
 func cellCorruptions(tb testing.TB, c *Collector, valid []byte) []cellCorruption {
 	tb.Helper()
 	keys := c.Keys()
-	if len(keys) == 0 {
-		tb.Fatal("corruption fixture has no cells")
+	if len(keys) < 2 {
+		tb.Fatal("corruption fixture needs two cells")
 	}
 	st, _ := c.Get(keys[0])
 	nv, nd := len(c.VolumeEdges)-1, len(c.DurationEdges)-1
-	// Header (magic, version, six dims, cell count), both edge grids,
-	// then the first cell's slab index.
-	sessionsOff := 4 + 2 + 6*4 + 8 + 8*(nv+1+nd+1) + 8
-	minutesOff := sessionsOff + 8
-	volOff := minutesOff + 8*netsim.MinutesPerDay
-	durSumOff := volOff + 8*nv
-	durCountOff := durSumOff + 8*nd
+	numBS, days := c.Extent()
+	slot := func(k StatKey) uint64 { return uint64((k.Service*numBS+k.BS)*days + k.Day) }
+	// The first two slab indices and the first cell's session total fit
+	// one varint byte, and so does every count of that cell (none
+	// exceeds the total), so each value sits at a fixed offset past the
+	// header (magic, version, six dims, cell count and both edge grids).
+	if slot(keys[0]) >= 0x80 || slot(keys[1]) >= 0x80 || st.Sessions >= 0x80 {
+		tb.Fatal("corruption fixture's first cells need one-byte indices and counts")
+	}
+	indexOff := 4 + 2 + 6*4 + 8 + 8*(nv+1+nd+1)
+	sessionsOff := indexOff + 1
+	minutesOff := sessionsOff + 1
+	volOff := minutesOff + netsim.MinutesPerDay
+	durCountOff := volOff + nv
+	durSumOff := durCountOff + nd
 	zeroMinute := slices.Index(st.MinuteCounts, 0)
 	zeroVol := slices.Index(st.Volume.P, 0)
 	zeroDur := slices.Index(st.DurCount, 0)
 	if zeroMinute < 0 || zeroVol < 0 || zeroDur < 0 {
 		tb.Fatal("corruption fixture's first cell has no empty bins")
 	}
-	patch := func(off int, v float64) []byte {
-		out := append([]byte(nil), valid...)
-		binary.LittleEndian.PutUint64(out[off:], math.Float64bits(v))
+	// splice replaces the n bytes at off and re-seals the CRC.
+	splice := func(off, n int, repl []byte) []byte {
+		out := append(append(append([]byte(nil), valid[:off]...), repl...), valid[off+n:]...)
 		binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.Checksum(out[:len(out)-4], crcTable))
 		return out
 	}
-	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
-	var out []cellCorruption
-	for _, v := range []float64{0.5, -1, negZero, nan, inf, math.MaxInt32 + 1} {
-		out = append(out, cellCorruption{fmt.Sprintf("minute-count-%v", v),
-			patch(minutesOff+8*zeroMinute, v), "int32"})
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	f64 := func(v float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)) }
+	overlong := []byte{0x80, 0x00}
+	tooWide := bytes.Repeat([]byte{0xff}, 11)
+	minute := minutesOff + zeroMinute
+	out := []cellCorruption{
+		{"index-overlong", splice(indexOff, 1, overlong), "overlong"},
+		{"index-64-bit-overflow", splice(indexOff, 1, tooWide), "overflows"},
+		{"index-range", splice(indexOff, 1, uv(uint64(len(c.cells)))), "out of order or range"},
+		{"index-order", splice(indexOff, 1, uv(slot(keys[1]))), "out of order or range"},
+		{"sessions-overlong", splice(sessionsOff, 1, append([]byte{0x80 | byte(st.Sessions)}, 0x00)), "overlong"},
+		{"sessions-too-large", splice(sessionsOff, 1, uv(1<<53)), "session total"},
+		{"minute-count-overlong", splice(minute, 1, overlong), "overlong"},
+		{"minute-count-above-int32", splice(minute, 1, uv(math.MaxInt32+1)), "exceeds"},
+		{"minute-count-64-bit-overflow", splice(minute, 1, tooWide), "overflows"},
+		{"minute-count-truncated", append(valid[:minute:minute], 0x80), "truncated"},
+		{"volume-bin-overlong", splice(volOff+zeroVol, 1, overlong), "overlong"},
+		{"volume-bin-too-large", splice(volOff+zeroVol, 1, uv(1<<53)), "volume bin"},
+		{"dur-count-overlong", splice(durCountOff+zeroDur, 1, overlong), "overlong"},
+		{"dur-count-too-large", splice(durCountOff+zeroDur, 1, uv(1<<53)), "duration count"},
+		{"dur-vol-sum-truncated", valid[: durSumOff+4 : durSumOff+4], "duration-volume sums"},
+		{"minute-sum", splice(minute, 1, uv(1)), "minute counts sum"},
+		{"volume-sum", splice(volOff+zeroVol, 1, uv(1)), "volume bins sum"},
+		{"dur-count-sum", splice(durCountOff+zeroDur, 1, uv(1)), "duration counts sum"},
 	}
-	for _, v := range []float64{nan, inf, -1} {
-		out = append(out,
-			cellCorruption{fmt.Sprintf("sessions-%v", v), patch(sessionsOff, v), "session total"},
-			cellCorruption{fmt.Sprintf("volume-bin-%v", v), patch(volOff+8*zeroVol, v), "volume bin"},
-			cellCorruption{fmt.Sprintf("dur-vol-sum-%v", v), patch(durSumOff, v), "duration-volume sum"},
-			cellCorruption{fmt.Sprintf("dur-count-%v", v), patch(durCountOff+8*zeroDur, v), "duration count"})
+	for _, v := range []float64{math.NaN(), math.Inf(1), -1, math.Copysign(0, -1)} {
+		out = append(out, cellCorruption{fmt.Sprintf("dur-vol-sum-%v", v),
+			splice(durSumOff, 8, f64(v)), "duration-volume sum"})
 	}
-	return append(out,
-		cellCorruption{"minute-sum", patch(minutesOff+8*zeroMinute, 1), "minute counts sum"},
-		cellCorruption{"volume-sum", patch(volOff+8*zeroVol, 1), "volume bins sum"},
-		cellCorruption{"dur-count-sum", patch(durCountOff+8*zeroDur, 1), "duration counts sum"})
+	return out
+}
+
+// TestCheckpointEncoderRejectsInexactCounts: a count the varint form
+// cannot carry bit for bit — a fraction, -0, a negative value, NaN, a
+// value of 2^53 or more, or a negative minute count — fails the
+// encode instead of decoding to a different collector.
+func TestCheckpointEncoderRejectsInexactCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(st *DayStats)
+	}{
+		{"sessions-fraction", func(st *DayStats) { st.Sessions += 0.5 }},
+		{"volume-bin-negative-zero", func(st *DayStats) { st.Volume.P[0] = math.Copysign(0, -1) }},
+		{"volume-bin-negative", func(st *DayStats) { st.Volume.P[0] = -1 }},
+		{"dur-count-nan", func(st *DayStats) { st.DurCount[0] = math.NaN() }},
+		{"dur-count-2^53", func(st *DayStats) { st.DurCount[0] = 1 << 53 }},
+		{"minute-count-negative", func(st *DayStats) { st.MinuteCounts[7] = -1 }},
+	} {
+		c := checkpointCollector(t)
+		st, _ := c.Get(c.Keys()[0])
+		tc.set(st)
+		if err := c.WriteCheckpoint(io.Discard); err == nil {
+			t.Errorf("%s: encode succeeded", tc.name)
+		}
+	}
 }
 
 // TestCheckpointSlabCap verifies the decoder refuses headers declaring
-// a slab larger than MaxCheckpointCells instead of allocating it.
+// a slab larger than MaxCheckpointCells instead of allocating it, also
+// when the slab's cell count does not fit 64 bits.
 func TestCheckpointSlabCap(t *testing.T) {
 	c := checkpointCollector(t)
 	var buf bytes.Buffer
@@ -299,6 +380,26 @@ func TestCheckpointSlabCap(t *testing.T) {
 	MaxCheckpointCells = 4 // below the 3*5*2 slab of the test collector
 	if _, err := ReadCheckpoint(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("oversized slab: err = %v", err)
+	}
+	MaxCheckpointCells = old
+
+	// 2^20 services × 2^22 BSs × 2^22 days is 2^64 cells, which wraps
+	// to an empty slab in 64-bit arithmetic.
+	empty, err := NewCollectorSized(1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := empty.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	wrap := buf.Bytes()
+	for i, v := range []uint32{1 << 20, 1 << 22, 1 << 22} {
+		binary.LittleEndian.PutUint32(wrap[6+4*i:], v)
+	}
+	binary.LittleEndian.PutUint32(wrap[len(wrap)-4:], crc32.Checksum(wrap[:len(wrap)-4], crcTable))
+	if _, err := ReadCheckpoint(bytes.NewReader(wrap)); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("slab wrapping 64 bits: err = %v", err)
 	}
 }
 

@@ -10,25 +10,33 @@ import (
 	"mobiletraffic/internal/obs"
 )
 
-// Merge folds the statistics of other into c. Both collectors must
-// share the same service count and measurement grids. Merging is
-// associative and commutative, so a measurement campaign can be
-// aggregated by independent workers (e.g. one per base station) whose
-// collectors are merged afterwards — the map-reduce layout a real
-// probe deployment uses across gateway sites.
+// Merge folds the statistics of other into c and leaves other empty
+// (see MergeAll). Both collectors must share the same service count
+// and measurement grids. Merging is associative and commutative, so a
+// measurement campaign can be aggregated by independent workers (e.g.
+// one per base station) whose collectors are merged afterwards — the
+// map-reduce layout a real probe deployment uses across gateway sites.
 func (c *Collector) Merge(other *Collector) error {
 	return c.MergeAll([]*Collector{other}, 1)
 }
 
-// MergeAll folds a set of partial collectors into c in slice order. The
-// dense slabs are index-aligned, so the walk shards by service across
-// up to workers goroutines (workers <= 0 uses every CPU): shards touch
-// disjoint cell ranges and each destination cell receives its
-// contributions in the same partial order as a serial pairwise Merge
-// chain, so the result is bit-identical regardless of worker count.
+// MergeAll folds a set of partial collectors into c in slice order and
+// consumes them: every merged partial is left empty. A partial cell
+// whose destination slot is empty moves into c as is — the bits adding
+// it into a zeroed cell would give, since no cell holds a -0 — and
+// only cells c already holds are added into. So a sharded campaign,
+// whose shards never share a cell, merges without copying a value.
+// The dense slabs are index-aligned, so the walk shards by service
+// across up to workers goroutines (workers <= 0 uses every CPU):
+// shards touch disjoint cell ranges and each destination cell receives
+// its contributions in the same partial order as a serial pairwise
+// Merge chain, so the result is bit-identical regardless of worker
+// count. Every partial is checked before any is touched; c itself, or
+// a partial listed twice, is refused.
 func (c *Collector) MergeAll(others []*Collector, workers int) error {
+	seen := make(map[*Collector]bool, len(others))
 	for _, other := range others {
-		if kind, err := c.mergeCheck(other); err != nil {
+		if kind, err := c.mergeCheck(other, seen); err != nil {
 			obs.CounterOf("probe_merge_conflicts_total", "kind", kind).Inc()
 			return err
 		}
@@ -39,9 +47,17 @@ func (c *Collector) MergeAll(others []*Collector, workers int) error {
 
 // mergeCheck validates that other can fold into c, returning the
 // conflict kind (the probe_merge_conflicts_total label) on failure.
-func (c *Collector) mergeCheck(other *Collector) (kind string, err error) {
+// seen holds the partials already accepted for this merge; other joins
+// it when it passes.
+func (c *Collector) mergeCheck(other *Collector, seen map[*Collector]bool) (kind string, err error) {
 	if other == nil {
 		return "nil", errors.New("probe: merge with nil collector")
+	}
+	if other == c {
+		return "self", errors.New("probe: merge of a collector into itself")
+	}
+	if seen[other] {
+		return "duplicate", errors.New("probe: merge lists a partial twice")
 	}
 	if c.NumServices != other.NumServices {
 		return "services", fmt.Errorf("probe: merge service counts differ: %d vs %d", c.NumServices, other.NumServices)
@@ -49,6 +65,7 @@ func (c *Collector) mergeCheck(other *Collector) (kind string, err error) {
 	if !sameEdges(c.VolumeEdges, other.VolumeEdges) || !sameEdges(c.DurationEdges, other.DurationEdges) {
 		return "grids", errors.New("probe: merge grids differ")
 	}
+	seen[other] = true
 	return "", nil
 }
 
@@ -84,19 +101,21 @@ func (r *MergeReport) Summary() string {
 	return s
 }
 
-// MergeAllReport is the graceful-degradation variant of MergeAll: nil
-// or grid/service-mismatched partials are skipped — and counted via
-// probe_merge_conflicts_total — instead of aborting the fold, so a
-// campaign that lost a shard still aggregates everything that
-// survived. The returned report records the fate of every partial;
-// merge order among the surviving partials is their slice order, the
-// same bit-identity contract as MergeAll.
+// MergeAllReport is the graceful-degradation variant of MergeAll: nil,
+// grid/service-mismatched, self or repeated partials are skipped — and
+// counted via probe_merge_conflicts_total — instead of aborting the
+// fold, so a campaign that lost a shard still aggregates everything
+// that survived. The returned report records the fate of every
+// partial; merge order among the surviving partials is their slice
+// order, the same bit-identity contract as MergeAll. Merged partials
+// are consumed as in MergeAll; skipped ones are left as they were.
 func (c *Collector) MergeAllReport(others []*Collector, workers int) (*MergeReport, error) {
 	report := &MergeReport{Partials: make([]MergePartial, len(others))}
 	good := make([]*Collector, 0, len(others))
+	seen := make(map[*Collector]bool, len(others))
 	for i, other := range others {
 		p := MergePartial{Index: i}
-		if kind, err := c.mergeCheck(other); err != nil {
+		if kind, err := c.mergeCheck(other, seen); err != nil {
 			obs.CounterOf("probe_merge_conflicts_total", "kind", kind).Inc()
 			p.Reason = err.Error()
 			report.Skipped++
@@ -159,9 +178,10 @@ func (c *Collector) mergeChecked(others []*Collector, workers int) {
 	wg.Wait()
 }
 
-// mergeService folds one service's cells from every partial, in partial
-// order, into c. Only cells of service svc are touched, so concurrent
-// calls for distinct services are race-free.
+// mergeService moves or folds one service's cells from every partial,
+// in partial order, into c, clearing each partial slot it takes. Only
+// cells of service svc are touched, so concurrent calls for distinct
+// services are race-free.
 func (c *Collector) mergeService(svc int, others []*Collector) {
 	for _, other := range others {
 		for bs := 0; bs < other.numBS; bs++ {
@@ -172,10 +192,14 @@ func (c *Collector) mergeService(svc int, others []*Collector) {
 				if src == nil {
 					continue
 				}
+				other.cells[srcBase+day] = nil
 				dst := c.cells[dstBase+day]
 				if dst == nil {
-					dst = c.newCell()
-					c.cells[dstBase+day] = dst
+					// The grids are equal by value; the moved histogram
+					// shares c's edge slice like every cell of c.
+					src.Volume.Edges = c.VolumeEdges
+					c.cells[dstBase+day] = src
+					continue
 				}
 				for m, v := range src.MinuteCounts {
 					dst.MinuteCounts[m] += v

@@ -2,6 +2,8 @@ package probe
 
 import (
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"mobiletraffic/internal/faults"
@@ -233,5 +235,119 @@ func TestMergeAfterFaults(t *testing.T) {
 		if a.Sessions != b.Sessions {
 			t.Fatalf("cell %+v sessions %v vs %v", key, a.Sessions, b.Sessions)
 		}
+	}
+}
+
+// mergeCopy is the copying merge that MergeAll's cell hand-over
+// replaced, kept as its oracle: every partial cell is added, in partial
+// order, into a destination cell — a fresh zeroed one where c has none
+// — and no partial is touched. c must already span every partial.
+func mergeCopy(c *Collector, others []*Collector) {
+	for _, other := range others {
+		for _, k := range other.Keys() {
+			src, _ := other.Get(k)
+			dst := c.cell(k)
+			for m, v := range src.MinuteCounts {
+				dst.MinuteCounts[m] += v
+			}
+			dst.Sessions += src.Sessions
+			for i, p := range src.Volume.P {
+				dst.Volume.P[i] += p
+			}
+			for i := range src.DurVolSum {
+				dst.DurVolSum[i] += src.DurVolSum[i]
+				dst.DurCount[i] += src.DurCount[i]
+			}
+		}
+	}
+}
+
+// TestMergeHandOverMatchesCopy merges a destination that already holds
+// cells with partials that overlap it and each other, so both the
+// hand-over of cells the destination lacks and the addition into cells
+// it holds run. The result must equal the copying oracle bit for bit,
+// every partial must be left empty, and moved cells must share the
+// destination's edge slice.
+func TestMergeHandOverMatchesCopy(t *testing.T) {
+	const numSvc, numBS, days = 3, 4, 2
+	build := func() (*Collector, []*Collector) {
+		rng := rand.New(rand.NewSource(5))
+		colls := make([]*Collector, 5)
+		for i := range colls {
+			c, err := NewCollectorSized(numSvc, numBS, days)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := 0; n < 12; n++ {
+				s := netsim.Session{
+					Service: rng.Intn(numSvc), BS: rng.Intn(numBS), Day: rng.Intn(days),
+					Minute: rng.Intn(netsim.MinutesPerDay), Volume: rng.ExpFloat64() * 1e5, Duration: rng.ExpFloat64() * 60,
+				}
+				if err := c.Observe(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			colls[i] = c
+		}
+		return colls[0], colls[1:]
+	}
+	want, wantParts := build()
+	mergeCopy(want, wantParts)
+	got, parts := build()
+	held := len(got.Keys())
+	if err := got.MergeAll(parts, 2); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Keys()) <= held {
+		t.Fatal("fixture hands no cell over")
+	}
+	sameCollector(t, want, got)
+	for i, p := range parts {
+		if n := len(p.Keys()); n != 0 {
+			t.Fatalf("partial %d keeps %d cells after the merge", i, n)
+		}
+	}
+	for _, k := range got.Keys() {
+		if st, _ := got.Get(k); &st.Volume.Edges[0] != &got.VolumeEdges[0] {
+			t.Fatalf("cell %+v keeps a foreign edge slice", k)
+		}
+	}
+}
+
+// TestMergeRejectsSelfAndDuplicate: with hand-over, merging a partial
+// twice would count it once, and merging a collector into itself would
+// empty it, so both are refused — by MergeAll before any partial is
+// touched, and by MergeAllReport as skipped partials.
+func TestMergeRejectsSelfAndDuplicate(t *testing.T) {
+	one := func(bs int) *Collector {
+		c, err := NewCollector(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Observe(netsim.Session{Service: 1, BS: bs, Minute: 3, Volume: 1e4, Duration: 8}); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	dst, p := one(0), one(1)
+	if err := dst.Merge(dst); err == nil || !strings.Contains(err.Error(), "itself") {
+		t.Fatalf("self merge: err = %v", err)
+	}
+	if err := dst.MergeAll([]*Collector{p, p}, 1); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("duplicate merge: err = %v", err)
+	}
+	if len(dst.Keys()) != 1 || len(p.Keys()) != 1 {
+		t.Fatal("a refused merge changed its collectors")
+	}
+	report, err := dst.MergeAllReport([]*Collector{p, dst, p}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Merged != 1 || report.Skipped != 2 ||
+		!strings.Contains(report.Partials[1].Reason, "itself") || !strings.Contains(report.Partials[2].Reason, "twice") {
+		t.Fatalf("report %+v", report)
+	}
+	if st, ok := dst.Get(StatKey{Service: 1, BS: 1}); !ok || st.Sessions != 1 || len(dst.Keys()) != 2 {
+		t.Fatal("the partial did not land exactly once")
 	}
 }

@@ -696,3 +696,36 @@ func TestObserveColumnsConcurrentDistinctBS(t *testing.T) {
 		t.Fatalf("flow counters: serial %d, concurrent %d, want %d sessions each", serFlows, got, want)
 	}
 }
+
+// TestGridThresholdsMatchBisection keeps the per-edge bisection as the
+// oracle of the thresholds the default grids share: every default
+// edge's shared threshold must equal linThr's bit for bit, collectors
+// on copies of the default grids must share them, and any other grid
+// must get its own.
+func TestGridThresholdsMatchBisection(t *testing.T) {
+	for _, edges := range [][]float64{DefaultVolumeEdges, DefaultDurationEdges} {
+		thr := gridThresholds(slices.Clone(edges))
+		for i, e := range edges {
+			if math.Float64bits(thr[i]) != math.Float64bits(linThr(e)) {
+				t.Fatalf("edge %v: shared threshold %v, bisection %v", e, thr[i], linThr(e))
+			}
+		}
+	}
+	a, err := NewCollector(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewCollectorGrids(2, 0, 0, slices.Clone(DefaultVolumeEdges), slices.Clone(DefaultDurationEdges))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a.volBinner.thr[0] != &b.volBinner.thr[0] || &a.durBinner.thr[0] != &b.durBinner.thr[0] {
+		t.Fatal("collectors on the default grids do not share thresholds")
+	}
+	odd := slices.Clone(DefaultDurationEdges)
+	odd[len(odd)-1] += 0.5
+	thr := gridThresholds(odd)
+	if &thr[0] == &a.durBinner.thr[0] || math.Float64bits(thr[len(odd)-1]) != math.Float64bits(linThr(odd[len(odd)-1])) {
+		t.Fatal("a non-default grid did not get its own thresholds")
+	}
+}

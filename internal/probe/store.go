@@ -3,8 +3,10 @@ package probe
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"sync"
 
 	"mobiletraffic/internal/dist"
 	"mobiletraffic/internal/mathx"
@@ -97,11 +99,46 @@ func newBinner(edges []float64) binner {
 			break
 		}
 	}
-	b.thr = make([]float64, n+1)
-	for i := range b.thr {
-		b.thr[i] = linThr(edges[i])
-	}
+	b.thr = gridThresholds(edges)
 	return b
+}
+
+// gridThreshold pairs a grid with its linear thresholds (see linThr).
+type gridThreshold struct {
+	edges, thr []float64
+}
+
+// defaultThresholds holds the thresholds of the default grids, computed
+// on first use from a snapshot of their values.
+var defaultThresholds = sync.OnceValue(func() []gridThreshold {
+	var out []gridThreshold
+	for _, edges := range [][]float64{DefaultVolumeEdges, DefaultDurationEdges} {
+		edges = slices.Clone(edges)
+		out = append(out, gridThreshold{edges: edges, thr: linThrs(edges)})
+	}
+	return out
+})
+
+// gridThresholds returns the linear thresholds of edges. A grid equal
+// by value to a default one — every collector's, and every checkpoint's
+// own copy of it — shares the thresholds computed once per process,
+// which binners only read; any other grid bisects its own.
+func gridThresholds(edges []float64) []float64 {
+	for _, d := range defaultThresholds() {
+		if sameEdges(edges, d.edges) {
+			return d.thr
+		}
+	}
+	return linThrs(edges)
+}
+
+// linThrs returns linThr of every edge.
+func linThrs(edges []float64) []float64 {
+	thr := make([]float64, len(edges))
+	for i, e := range edges {
+		thr[i] = linThr(e)
+	}
+	return thr
 }
 
 // linThr returns the smallest non-negative float64 x satisfying

@@ -150,17 +150,24 @@ func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // binCountingWriter accumulates a CRC-32C and a byte offset over
-// everything written through it.
+// everything written through it. Its first write error is sticky, as
+// in bufio.Writer: every later write returns it, so a trace whose
+// output failed can never look whole.
 type binCountingWriter struct {
 	w   io.Writer
 	crc uint32
 	off uint64
+	err error
 }
 
 func (cw *binCountingWriter) Write(p []byte) (int, error) {
+	if cw.err != nil {
+		return 0, cw.err
+	}
 	n, err := cw.w.Write(p)
 	cw.crc = crc32.Update(cw.crc, binCRCTable, p[:n])
 	cw.off += uint64(n)
+	cw.err = err
 	return n, err
 }
 
@@ -231,7 +238,11 @@ func (bw *binWriter) svcIndex(name string) (uint32, error) {
 }
 
 // add queues one (already validated) record, flushing a full block.
+// After a failed write it queues nothing and returns that error.
 func (bw *binWriter) add(r Record) error {
+	if bw.cw.err != nil {
+		return bw.cw.err
+	}
 	if bw.finished {
 		return fmt.Errorf("trace: bin: write after Flush finalized the trace")
 	}
@@ -448,8 +459,12 @@ func (bw *binWriter) flushBlock() error {
 }
 
 // finish flushes the last block and writes the footer and trailer.
-// Idempotent: later calls are no-ops.
+// Idempotent: later calls are no-ops, and every call after a failed
+// write returns that error.
 func (bw *binWriter) finish() error {
+	if bw.cw.err != nil {
+		return bw.cw.err
+	}
 	if bw.finished {
 		return nil
 	}

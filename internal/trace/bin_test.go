@@ -689,3 +689,49 @@ func TestReadBinAtOffset(t *testing.T) {
 		})
 	}
 }
+
+// limitWriter accepts its first n bytes and fails every write after,
+// as a disk that fills up mid-trace would.
+type limitWriter struct{ n int }
+
+func (w *limitWriter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, errors.New("device full")
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestBinWriterErrorIsSticky: once the output fails, the MTTR writer
+// returns an error from that Write on, and from Flush, counts no more
+// records and holds no more than one block pending.
+func TestBinWriterErrorIsSticky(t *testing.T) {
+	w, err := NewWriter(&limitWriter{n: 1000}, Bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := -1
+	for i, r := range generatorRecords(3*binBlockRecords, 16) {
+		if err := w.Write(r); err != nil {
+			if failed < 0 {
+				failed = i
+			}
+		} else if failed >= 0 {
+			t.Fatalf("write %d succeeded after write %d failed", i, failed)
+		}
+	}
+	if failed < 0 {
+		t.Fatal("no write failed")
+	}
+	if got := w.Count(); got != failed {
+		t.Errorf("Count = %d, want the %d writes before the failure", got, failed)
+	}
+	if n := len(w.binw.times); n > binBlockRecords {
+		t.Errorf("%d records pending, more than a block", n)
+	}
+	if err := w.Flush(); err == nil {
+		t.Error("Flush succeeded after a failed write")
+	}
+}
