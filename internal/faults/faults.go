@@ -393,8 +393,6 @@ func (d *DayStream) ApplyColumns(src, dst *netsim.DayColumns) {
 			}
 			dst.Duration[out] = src.Duration[g]
 			dst.Volume[out] = src.Volume[g]
-			dst.LnV[out] = src.LnV[g]
-			dst.LnD[out] = src.LnD[g]
 			dst.Truncated[out] = src.Truncated[i]
 			out++
 		}

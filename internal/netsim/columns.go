@@ -17,7 +17,7 @@ import (
 //     minute-major (Minute is nondecreasing), exactly the order
 //     GenerateDay emits and the per-(BS, day) fault streams consume.
 //
-//   - Value columns (Volume, LnV, Duration, LnD): when the by-service
+//   - Value columns (Volume, Duration): when the by-service
 //     grouping (SvcSeg/ByService/Slot) is populated — as
 //     SampleDayColumns always leaves it — these are stored in grouped
 //     order, indexed by slot g = Slot[i]: sessions of one service are
@@ -32,12 +32,10 @@ import (
 // columns geometrically and then runs allocation-free (pre-size with
 // Resize(sim.MaxDaySessions()) to skip even the first growth).
 //
-// LnV and LnD carry the natural logs the log-domain samplers produce as
-// byproducts (updated on mobility truncation), for downstream consumers
-// that work in the log domain. The probe ingest deliberately does NOT
-// bin from them: probe.ObserveColumns re-derives log10 from the linear
-// Volume/Duration columns with the exact math of the scalar Observe, so
-// columnar and scalar binning can never diverge by a ulp at a bin edge.
+// The probe ingest bins the linear Volume/Duration columns with the
+// exact thresholds of the scalar Observe, so columnar and scalar
+// binning can never diverge by a ulp at a bin edge; the log-domain
+// values the samplers compute on the way stay in the draw scratch.
 type DayColumns struct {
 	// Counts[m] is the number of sessions established in minute m,
 	// after weekend scaling (len MinutesPerDay once sampled).
@@ -51,8 +49,6 @@ type DayColumns struct {
 	// order otherwise (see the type comment).
 	Duration []float64 // served duration in seconds
 	Volume   []float64 // served traffic in bytes
-	LnV      []float64 // natural log of Volume
-	LnD      []float64 // natural log of Duration
 
 	// SvcSeg, ByService and Slot describe the stable by-service
 	// grouping the sampler computes with a counting sort: sessions of
@@ -122,8 +118,6 @@ func (c *DayColumns) Resize(n int) {
 		c.MinuteG = grow32(c.MinuteG)
 		c.Duration = growF(c.Duration)
 		c.Volume = growF(c.Volume)
-		c.LnV = growF(c.LnV)
-		c.LnD = growF(c.LnD)
 		c.u = growF(c.u)
 		c.z = growF(c.z)
 		nt := make([]bool, m)
@@ -137,8 +131,6 @@ func (c *DayColumns) Resize(n int) {
 	c.MinuteG = c.MinuteG[:n]
 	c.Duration = c.Duration[:n]
 	c.Volume = c.Volume[:n]
-	c.LnV = c.LnV[:n]
-	c.LnD = c.LnD[:n]
 	c.Truncated = c.Truncated[:n]
 	c.u = c.u[:n]
 	c.z = c.z[:n]
@@ -311,7 +303,11 @@ func (s *Simulator) sampleDayColumns(bsIdx, day int, c *DayColumns) {
 	}
 
 	// Per-service batch sampling: each profile fills its contiguous
-	// grouped segment of the value columns, in catalog order.
+	// grouped segment of the value columns, in catalog order. The log
+	// outputs land in the draw scratch: each batch loop reads index i
+	// of its inputs before it writes index i of its outputs, so the
+	// volume logs overwrite the uniforms they came from, and the
+	// duration logs the normals.
 	for sv := 0; sv < nSvc; sv++ {
 		lo, hi := int(off[sv]), int(off[sv+1])
 		if lo == hi {
@@ -319,8 +315,9 @@ func (s *Simulator) sampleDayColumns(bsIdx, day int, c *DayColumns) {
 		}
 		prof := &s.Services[sv]
 		k := hi - lo
-		prof.SampleVolumeLnBatch(&rng, c.u[:k], c.z[:k], c.Volume[lo:hi], c.LnV[lo:hi])
-		prof.SampleDurationLnBatch(&rng, c.LnV[lo:hi], c.z[:k], c.Duration[lo:hi], c.LnD[lo:hi])
+		u, z := c.u[:k], c.z[:k]
+		prof.SampleVolumeLnBatch(&rng, u, z, c.Volume[lo:hi], u)
+		prof.SampleDurationLnBatch(&rng, u, z, c.Duration[lo:hi], z)
 	}
 
 	// Mobility: one gate rectangle, then exactly one dwell Exp draw per
@@ -357,8 +354,6 @@ func (s *Simulator) sampleDayColumns(bsIdx, day int, c *DayColumns) {
 				// volume pro-rated on served time.
 				c.Volume[g] *= dwell / c.Duration[g]
 				c.Duration[g] = dwell
-				c.LnV[g] = math.Log(c.Volume[g])
-				c.LnD[g] = math.Log(dwell)
 				c.Truncated[i] = true
 				split++
 			}

@@ -53,7 +53,7 @@ func sameCollector(t *testing.T, a, b *Collector) {
 	if aBS != bBS || aDays != bDays {
 		t.Fatalf("extents differ: (%d,%d) vs (%d,%d)", aBS, aDays, bBS, bDays)
 	}
-	if !sameEdges(a.VolumeEdges, b.VolumeEdges) || !sameEdges(a.DurationEdges, b.DurationEdges) {
+	if !slices.Equal(a.VolumeEdges, b.VolumeEdges) || !slices.Equal(a.DurationEdges, b.DurationEdges) {
 		t.Fatal("grids differ")
 	}
 	ak, bk := a.Keys(), b.Keys()

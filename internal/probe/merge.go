@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -62,7 +63,7 @@ func (c *Collector) mergeCheck(other *Collector, seen map[*Collector]bool) (kind
 	if c.NumServices != other.NumServices {
 		return "services", fmt.Errorf("probe: merge service counts differ: %d vs %d", c.NumServices, other.NumServices)
 	}
-	if !sameEdges(c.VolumeEdges, other.VolumeEdges) || !sameEdges(c.DurationEdges, other.DurationEdges) {
+	if !slices.Equal(c.VolumeEdges, other.VolumeEdges) || !slices.Equal(c.DurationEdges, other.DurationEdges) {
 		return "grids", errors.New("probe: merge grids differ")
 	}
 	seen[other] = true
@@ -215,16 +216,4 @@ func (c *Collector) mergeService(svc int, others []*Collector) {
 			}
 		}
 	}
-}
-
-func sameEdges(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

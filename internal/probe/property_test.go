@@ -187,6 +187,28 @@ func (o *mapOracle) sessionShare(filter KeyFilter) (share, cv []float64, ok bool
 	return share, cv, true
 }
 
+// requireOracleCells asserts that a collector holds exactly the
+// oracle's cells, bit for bit, in the same key order.
+func requireOracleCells(t *testing.T, label string, c *Collector, o *mapOracle) {
+	t.Helper()
+	wantKeys := o.sortedKeys()
+	gotKeys := c.Keys()
+	if !slices.Equal(gotKeys, wantKeys) {
+		t.Fatalf("%s: keys %v, oracle has %v", label, gotKeys, wantKeys)
+	}
+	for _, k := range wantKeys {
+		got, _ := c.Get(k)
+		want := o.cells[k]
+		if got.Sessions != want.Sessions ||
+			!slices.Equal(got.MinuteCounts, want.MinuteCounts) ||
+			!equalFloats(got.Volume.P, want.Volume.P) ||
+			!equalFloats(got.DurVolSum, want.DurVolSum) ||
+			!equalFloats(got.DurCount, want.DurCount) {
+			t.Fatalf("%s: cell %+v differs from oracle", label, k)
+		}
+	}
+}
+
 // randomSessions draws a session stream that exercises clamping below
 // and above both measurement grids and lands some volumes exactly on
 // bin edges.
@@ -195,7 +217,7 @@ func randomSessions(rng *rand.Rand, n, numSvc, numBS, days int) []netsim.Session
 	for i := range out {
 		vol := math.Pow(10, 1+10*rng.Float64()) // spans below/above the [2, 10.5] grid
 		if rng.Intn(10) == 0 {
-			// Exactly on a bin edge: the O(1) binner and BinIndex must
+			// Exactly on a bin edge: the table binner and BinIndex must
 			// agree on boundary ownership.
 			edges := DefaultVolumeEdges
 			vol = math.Pow(10, edges[rng.Intn(len(edges))])
@@ -262,30 +284,7 @@ func TestDenseCollectorMatchesMapOracle(t *testing.T) {
 		if got, want := c.TotalSessions(), float64(len(sessions)); got != want {
 			t.Fatalf("trial %d: TotalSessions = %v, want %v", trial, got, want)
 		}
-		wantKeys := o.sortedKeys()
-		gotKeys := c.Keys()
-		if len(gotKeys) != len(wantKeys) {
-			t.Fatalf("trial %d: %d keys, oracle has %d", trial, len(gotKeys), len(wantKeys))
-		}
-		for i := range gotKeys {
-			if gotKeys[i] != wantKeys[i] {
-				t.Fatalf("trial %d: key %d = %+v, oracle %+v", trial, i, gotKeys[i], wantKeys[i])
-			}
-		}
-		for _, k := range wantKeys {
-			got, okGot := c.Get(k)
-			if !okGot {
-				t.Fatalf("trial %d: cell %+v missing from dense store", trial, k)
-			}
-			want := o.cells[k]
-			if got.Sessions != want.Sessions ||
-				!slices.Equal(got.MinuteCounts, want.MinuteCounts) ||
-				!equalFloats(got.Volume.P, want.Volume.P) ||
-				!equalFloats(got.DurVolSum, want.DurVolSum) ||
-				!equalFloats(got.DurCount, want.DurCount) {
-				t.Fatalf("trial %d: cell %+v differs from oracle", trial, k)
-			}
-		}
+		requireOracleCells(t, "trial "+strconv.Itoa(trial), c, o)
 
 		filters := map[string]KeyFilter{
 			"nil":      nil,
@@ -494,8 +493,8 @@ func TestObserveColumnsMatchesScalarOracle(t *testing.T) {
 }
 
 // TestObserveColumnsNonUniformGridMatchesScalar repeats the oracle
-// comparison on a deliberately non-uniform duration grid, driving the
-// binary-search binning fallback of the grouped fold.
+// comparison on a deliberately non-uniform duration grid, which gets a
+// binning table of its own.
 func TestObserveColumnsNonUniformGridMatchesScalar(t *testing.T) {
 	const numBS, days = 10, 2
 	durEdges := []float64{0, 0.3, 1, 2.5, 5} // log10 seconds, non-uniform
@@ -698,16 +697,16 @@ func TestObserveColumnsConcurrentDistinctBS(t *testing.T) {
 }
 
 // TestGridThresholdsMatchBisection keeps the per-edge bisection as the
-// oracle of the thresholds the default grids share: every default
-// edge's shared threshold must equal linThr's bit for bit, collectors
-// on copies of the default grids must share them, and any other grid
-// must get its own.
+// oracle of the thresholds the default grids share: every interior
+// default edge's shared threshold must equal linThr's bit for bit,
+// collectors on copies of the default grids must share thresholds and
+// tables, and any other grid must get its own.
 func TestGridThresholdsMatchBisection(t *testing.T) {
 	for _, edges := range [][]float64{DefaultVolumeEdges, DefaultDurationEdges} {
-		thr := gridThresholds(slices.Clone(edges))
-		for i, e := range edges {
-			if math.Float64bits(thr[i]) != math.Float64bits(linThr(e)) {
-				t.Fatalf("edge %v: shared threshold %v, bisection %v", e, thr[i], linThr(e))
+		upper := newBinner(slices.Clone(edges)).upper
+		for j, e := range edges[1 : len(edges)-1] {
+			if upper[j] != int64(math.Float64bits(linThr(e))) {
+				t.Fatalf("edge %v: shared threshold %v, bisection %v", e, math.Float64frombits(uint64(upper[j])), linThr(e))
 			}
 		}
 	}
@@ -719,13 +718,13 @@ func TestGridThresholdsMatchBisection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &a.volBinner.thr[0] != &b.volBinner.thr[0] || &a.durBinner.thr[0] != &b.durBinner.thr[0] {
-		t.Fatal("collectors on the default grids do not share thresholds")
+	if &a.volBinner.upper[0] != &b.volBinner.upper[0] || &a.durBinner.tab[0] != &b.durBinner.tab[0] {
+		t.Fatal("collectors on the default grids do not share thresholds and tables")
 	}
 	odd := slices.Clone(DefaultDurationEdges)
-	odd[len(odd)-1] += 0.5
-	thr := gridThresholds(odd)
-	if &thr[0] == &a.durBinner.thr[0] || math.Float64bits(thr[len(odd)-1]) != math.Float64bits(linThr(odd[len(odd)-1])) {
+	odd[1] += 0.05
+	upper := newBinner(odd).upper
+	if &upper[0] == &a.durBinner.upper[0] || upper[0] != int64(math.Float64bits(linThr(odd[1]))) {
 		t.Fatal("a non-default grid did not get its own thresholds")
 	}
 }

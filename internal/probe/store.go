@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -68,77 +67,126 @@ func (d *DayStats) PairValues() []float64 {
 	return out
 }
 
-// binner maps a domain value onto a fixed ascending edge grid with
-// dist.Hist.BinIndex semantics: values outside the grid clamp into the
-// boundary bins and the right-most edge belongs to the last bin.
-// Uniform grids (validated at construction) take an O(1) multiplicative
-// path double-checked against the edges so float rounding can never
-// mis-bin; non-uniform grids fall back to binary search.
+// binner maps a linear value x onto a log10 edge grid with the
+// semantics of dist.Hist.BinIndex(Log10(Max(x, 1))): values outside the
+// grid clamp into the boundary bins and the right-most edge belongs to
+// the last bin. Log10 is monotone, so that bin is the number of
+// interior linear thresholds linThr(edges[1..n-1]) at or below x, and
+// no log is taken. Non-negative float64s order like their bit patterns,
+// so the binner compares bits, as int64s: a value with the sign bit set
+// (negative, -0) is below every threshold, and the table gives it the
+// bin of +0, as Log10(Max(x, 1)) does.
+//
+// The count comes from a table keyed by the top bits of x,
+// Float64bits(x) >> shift. tab[k] is the bin of the smallest value of
+// key cell lo+k, for the cells from the one below the first interior
+// threshold's to the one above the last's; keys outside clamp to those
+// ends without a branch. A walk over the next thresholds finishes the
+// count. The shift keeps 6 mantissa bits, and more until no cell holds
+// two thresholds, within a 64k-entry table. The walk is then one
+// compare and at most one step: a value steps only when its cell holds
+// a threshold at or below it, about one volume in 20 and one duration
+// in 50 of the sampler's sessions on the default grids, so its branch
+// predicts well. On a grid no table separates — thresholds closer than
+// the finest cell, or bins past the 65 535 an entry holds — the walk
+// may take more steps, never a wrong bin.
 type binner struct {
-	edges   []float64
-	n       int // bins = len(edges)-1
-	uniform bool
-	lo      float64
-	invW    float64   // bins per domain unit on the uniform path
-	thr     []float64 // linear thresholds: thr[j] = min x with Log10(Max(x,1)) >= edges[j]
+	// upper[j] is the bit pattern of linThr(edges[j+1]), the threshold
+	// that ends bin j; upper[n-1] = MaxInt64 ends the last bin past
+	// every value.
+	upper []int64
+	tab   []uint16
+	shift uint
+	lo    int // key of tab[0]
+	top   int // len(tab) - 1
 }
 
+// Table sizing: keys keep 6 mantissa bits, and finer keys are tried
+// until the thresholds fall in distinct cells or the table would exceed
+// maxBinTable entries. Coarser keys keep a table within it whose
+// thresholds span too many octaves for 6 bits.
+const (
+	coarsestBinShift = 52 - 6
+	maxBinTable      = 1 << 16
+)
+
+// newBinner returns the binner of an edge grid. A grid equal by value
+// to a default one — every collector's, and every checkpoint's own copy
+// of it — shares the binner built once per process, which collectors
+// only read.
 func newBinner(edges []float64) binner {
-	n := len(edges) - 1
-	b := binner{edges: edges, n: n, lo: edges[0]}
-	span := edges[n] - edges[0]
-	if span > 0 {
-		b.invW = float64(n) / span
-	}
-	w := span / float64(n)
-	b.uniform = true
-	for i := 1; i <= n; i++ {
-		ideal := edges[0] + float64(i)*w
-		if math.Abs(edges[i]-ideal) > 1e-9*math.Max(1, math.Abs(ideal)) {
-			b.uniform = false
-			break
+	for _, d := range defaultBinners() {
+		if slices.Equal(edges, d.edges) {
+			return d.b
 		}
 	}
-	b.thr = gridThresholds(edges)
-	return b
+	return buildBinner(edges)
 }
 
-// gridThreshold pairs a grid with its linear thresholds (see linThr).
-type gridThreshold struct {
-	edges, thr []float64
-}
-
-// defaultThresholds holds the thresholds of the default grids, computed
-// on first use from a snapshot of their values.
-var defaultThresholds = sync.OnceValue(func() []gridThreshold {
-	var out []gridThreshold
+// defaultBinners holds the binners of the default grids, built on first
+// use from a snapshot of their values.
+var defaultBinners = sync.OnceValue(func() []gridBinner {
+	var out []gridBinner
 	for _, edges := range [][]float64{DefaultVolumeEdges, DefaultDurationEdges} {
 		edges = slices.Clone(edges)
-		out = append(out, gridThreshold{edges: edges, thr: linThrs(edges)})
+		out = append(out, gridBinner{edges, buildBinner(edges)})
 	}
 	return out
 })
 
-// gridThresholds returns the linear thresholds of edges. A grid equal
-// by value to a default one — every collector's, and every checkpoint's
-// own copy of it — shares the thresholds computed once per process,
-// which binners only read; any other grid bisects its own.
-func gridThresholds(edges []float64) []float64 {
-	for _, d := range defaultThresholds() {
-		if sameEdges(edges, d.edges) {
-			return d.thr
-		}
-	}
-	return linThrs(edges)
+// gridBinner pairs a grid with its binner.
+type gridBinner struct {
+	edges []float64
+	b     binner
 }
 
-// linThrs returns linThr of every edge.
-func linThrs(edges []float64) []float64 {
-	thr := make([]float64, len(edges))
-	for i, e := range edges {
-		thr[i] = linThr(e)
+// buildBinner computes the thresholds and table of a grid.
+func buildBinner(edges []float64) binner {
+	n := len(edges) - 1
+	b := binner{upper: make([]int64, n)}
+	for j := range n - 1 {
+		b.upper[j] = int64(math.Float64bits(linThr(edges[j+1])))
 	}
-	return thr
+	b.upper[n-1] = math.MaxInt64
+	inner := b.upper[:n-1]
+	var first, last int64
+	if n > 1 {
+		first, last = inner[0], inner[n-2]
+	}
+	// cells counts the table entries of a shift: the thresholds' cells
+	// and a free one on either side.
+	cells := func(s uint) int64 { return last>>s - first>>s + 3 }
+	// distinct reports whether no key cell of a shift holds two
+	// different thresholds. Equal ones (edges at or below 0 share 0,
+	// edges past Log10(MaxFloat64) share +Inf) start a cell at every
+	// shift a table can take, so that cell's entry counts them all.
+	distinct := func(s uint) bool {
+		for j := 1; j < len(inner); j++ {
+			if inner[j] != inner[j-1] && inner[j]>>s == inner[j-1]>>s {
+				return false
+			}
+		}
+		return true
+	}
+	s := uint(coarsestBinShift)
+	for cells(s) > maxBinTable {
+		s++
+	}
+	for s > 0 && !distinct(s) && cells(s-1) <= maxBinTable {
+		s--
+	}
+	lo := first >> s
+	lo -= min(lo, 1)
+	b.tab = make([]uint16, cells(s))
+	j := 0
+	for k := range b.tab {
+		for j < len(inner) && inner[j] <= (lo+int64(k))<<s {
+			j++
+		}
+		b.tab[k] = uint16(min(j, math.MaxUint16))
+	}
+	b.shift, b.lo, b.top = s, int(lo), len(b.tab)-1
+	return b
 }
 
 // linThr returns the smallest non-negative float64 x satisfying
@@ -168,51 +216,18 @@ func linThr(e float64) float64 {
 	return math.Float64frombits(lo)
 }
 
-// approxLog10 estimates Log10(Max(x, 1)) for x >= 0 from the float
-// bit pattern alone — exponent plus a linear mantissa term — within
-// ~0.026 (always from below), close enough to seed a bin guess that
-// one threshold-settle step then makes exact.
-func approxLog10(x float64) float64 {
-	bits := math.Float64bits(x)
-	e := float64(int((bits>>52)&0x7ff) - 1023)
-	m := float64(bits&(1<<52-1)) * (1.0 / (1 << 52))
-	lg := (e + m) * 0.30102999566398
-	if lg < 0 {
-		return 0
-	}
-	return lg
-}
-
+// bin returns the bin of the linear value x.
 func (b *binner) bin(x float64) int {
-	if x <= b.edges[0] {
-		return 0
+	v := int64(math.Float64bits(x)) // negative when the sign bit is set
+	k := int(v>>(b.shift&63)) - b.lo
+	k &^= k >> 63 // below the table, or negative: its first cell
+	d := k - b.top
+	k -= d &^ (d >> 63) // above the table: its last cell
+	j := int(b.tab[k])
+	for v >= b.upper[j] {
+		j++
 	}
-	if x >= b.edges[b.n] {
-		return b.n - 1
-	}
-	if b.uniform {
-		i := int((x - b.lo) * b.invW)
-		if i > b.n-1 {
-			i = b.n - 1
-		}
-		// The multiplicative guess can be one off at bin boundaries;
-		// settle it against the actual edges.
-		for i > 0 && x < b.edges[i] {
-			i--
-		}
-		for i < b.n-1 && x >= b.edges[i+1] {
-			i++
-		}
-		return i
-	}
-	i := sort.SearchFloat64s(b.edges, x)
-	if i > 0 && b.edges[i] > x {
-		i--
-	}
-	if i >= b.n {
-		i = b.n - 1
-	}
-	return i
+	return j
 }
 
 // Collector accumulates simulated sessions into the per-(service, BS,
@@ -238,8 +253,8 @@ type Collector struct {
 	numBS, days int
 	cells       []*DayStats // len = NumServices*numBS*days, service-major
 
-	volBinner binner // log10-volume -> Volume.P index
-	durBinner binner // log10-duration -> DurVolSum/DurCount index
+	volBinner binner // volume in bytes -> Volume.P index
+	durBinner binner // duration in seconds -> DurVolSum/DurCount index
 
 	// obsFlows[svc] counts the sessions folded in per service
 	// (probe_flows_tracked_total{service=...}); handles are resolved
@@ -262,8 +277,7 @@ func NewCollectorSized(numServices, numBS, days int) (*Collector, error) {
 }
 
 // NewCollectorGrids returns a Collector over custom measurement grids.
-// Both edge sets must be strictly ascending with at least two edges;
-// non-uniform duration grids are binned by binary search.
+// Both edge sets must be strictly ascending with at least two edges.
 func NewCollectorGrids(numServices, numBS, days int, volumeEdges, durationEdges []float64) (*Collector, error) {
 	if numServices <= 0 {
 		return nil, fmt.Errorf("probe: collector needs >= 1 service, got %d", numServices)
@@ -379,15 +393,34 @@ func (c *Collector) cell(key StatKey) *DayStats {
 
 // durBin maps a duration in seconds to its log-spaced bin index.
 func (c *Collector) durBin(duration float64) int {
-	return c.durBinner.bin(math.Log10(math.Max(duration, 1)))
+	return c.durBinner.bin(duration)
+}
+
+// maxVolume bounds a session volume in bytes. A cell holds fewer than
+// 2^53 sessions (the checkpoint's bound on a count), so volumes below
+// 2^960 can never sum to +Inf in a duration-volume sum, which no
+// checkpoint could carry.
+const maxVolume = 0x1p960
+
+// validValues reports whether a session's volume and duration can be
+// folded: a volume in [0, maxVolume), and a finite duration, the one
+// kind of value whose difference with itself is 0 (one compare, where
+// IsFinite takes three).
+func validValues(volume, duration float64) bool {
+	return volume >= 0 && volume < maxVolume && duration-duration == 0
+}
+
+func valuesError(volume, duration float64) error {
+	return fmt.Errorf("probe: session volume %v must be in [0, %v) and duration %v finite", volume, maxVolume, duration)
 }
 
 // Observe folds one session into the statistics. In steady state (cell
 // already touched) it performs no allocations. A session with a
 // non-finite volume or duration is rejected: it has no histogram bin,
 // and it would poison the cell's duration-volume sums. So is a negative
-// volume, which would leave a duration-volume sum no checkpoint can
-// carry.
+// volume or one of maxVolume or more, which would leave a
+// duration-volume sum no checkpoint can carry. A negative duration
+// bins with the shortest ones.
 func (c *Collector) Observe(s netsim.Session) error {
 	if s.Service < 0 || s.Service >= c.NumServices {
 		return fmt.Errorf("probe: session service %d out of range [0, %d)", s.Service, c.NumServices)
@@ -395,11 +428,8 @@ func (c *Collector) Observe(s netsim.Session) error {
 	if s.Minute < 0 || s.Minute >= netsim.MinutesPerDay {
 		return fmt.Errorf("probe: session minute %d out of range", s.Minute)
 	}
-	if !mathx.IsFinite(s.Volume) || !mathx.IsFinite(s.Duration) {
-		return fmt.Errorf("probe: session volume %v or duration %v is not finite", s.Volume, s.Duration)
-	}
-	if s.Volume < 0 {
-		return fmt.Errorf("probe: session volume %v is negative", s.Volume)
+	if !validValues(s.Volume, s.Duration) {
+		return valuesError(s.Volume, s.Duration)
 	}
 	if s.BS < 0 || s.Day < 0 {
 		return fmt.Errorf("probe: session cell (%d, %d) out of range", s.BS, s.Day)
@@ -416,7 +446,7 @@ func (c *Collector) Observe(s netsim.Session) error {
 	}
 	st.MinuteCounts[s.Minute]++
 	st.Sessions++
-	st.Volume.P[c.volBinner.bin(math.Log10(math.Max(s.Volume, 1)))]++
+	st.Volume.P[c.volBinner.bin(s.Volume)]++
 	bin := c.durBin(s.Duration)
 	st.DurVolSum[bin] += s.Volume
 	st.DurCount[bin]++
@@ -431,9 +461,9 @@ func (c *Collector) Observe(s netsim.Session) error {
 // statistics. It is the columnar counterpart of Observe with the
 // per-session overhead hoisted out of the loop: the slab is grown
 // once, the cell address is an index computation off a precomputed
-// base, and on uniform grids (the default) the log10 binning runs
-// inline with the O(1) multiplicative path; non-uniform grids keep the
-// binary-search fallback. When the columns carry the sampler's
+// base, and each value is binned by one table lookup and, on the
+// default grids, one compare on its float bits (see binner), with no
+// log taken. When the columns carry the sampler's
 // by-service grouping (SvcSeg/ByService/Slot, with the value columns
 // in grouped order), the fold runs one service segment at a time:
 // exactly one cell's accumulators are hot while its sessions fold, and
@@ -449,8 +479,8 @@ func (c *Collector) Observe(s netsim.Session) error {
 // The grouping is trusted to describe Svc and the value-column layout
 // (netsim maintains both); ObserveColumns verifies only its structural
 // invariants and falls back to the ungrouped fold when they do not
-// hold. Unlike Observe, the columns are validated up
-// front and nothing is folded when any session is invalid.
+// hold. Every session is validated as Observe validates it, up front:
+// nothing is folded when any session is invalid.
 //
 // Concurrent calls are safe for distinct bs inside the collector's
 // extent: the slab is then never grown, each call writes only the cells
@@ -473,13 +503,31 @@ func (c *Collector) ObserveColumns(bs, day int, cols *netsim.DayColumns) error {
 	if bs < 0 || day < 0 {
 		return fmt.Errorf("probe: session cell (%d, %d) out of range", bs, day)
 	}
-	nSvc := int32(c.NumServices)
-	for i := 0; i < n; i++ {
-		if svc[i] < 0 || svc[i] >= nSvc {
+	// A grouped minute column (MinuteG) makes every fold read
+	// sequential — that path needs only the segment offsets, not the
+	// per-slot ByService scan. Without MinuteG the fold gathers minutes
+	// through the grouping, which is then validated in full. One pass
+	// validates every column the fold reads; unsigned compares reject
+	// negative values too.
+	seg, by, mg := cols.SvcSeg, cols.ByService, cols.MinuteG
+	useSeq := len(mg) == n && len(by) == n && len(cols.Slot) == n && c.segValid(seg, n)
+	if !useSeq {
+		mg = minute
+	}
+	svc, mg, volume, duration = svc[:n], mg[:n], volume[:n], duration[:n]
+	nSvc := uint32(c.NumServices)
+	for i := range n {
+		if uint32(svc[i]) >= nSvc {
 			return fmt.Errorf("probe: session service %d out of range [0, %d)", svc[i], c.NumServices)
 		}
-		if minute[i] < 0 || minute[i] >= netsim.MinutesPerDay {
+		if uint32(minute[i]) >= netsim.MinutesPerDay {
 			return fmt.Errorf("probe: session minute %d out of range", minute[i])
+		}
+		if uint32(mg[i]) >= netsim.MinutesPerDay {
+			return fmt.Errorf("probe: grouped session minute %d out of range", mg[i])
+		}
+		if !validValues(volume[i], duration[i]) {
+			return valuesError(volume[i], duration[i])
 		}
 	}
 	if n == 0 {
@@ -490,21 +538,6 @@ func (c *Collector) ObserveColumns(bs, day int, cols *netsim.DayColumns) error {
 	stride := c.numBS * c.days
 	cells := c.cells
 
-	// A grouped minute column (MinuteG) makes every fold read
-	// sequential — that path needs only the segment offsets, not the
-	// per-slot ByService scan. Without MinuteG the fold gathers minutes
-	// through the grouping, which is then validated in full. MinuteG
-	// entries are range-checked here because the up-front validation
-	// loop only covers Minute.
-	seg, by, mg := cols.SvcSeg, cols.ByService, cols.MinuteG
-	useSeq := len(mg) == n && len(by) == n && len(cols.Slot) == n && c.segValid(seg, n)
-	if useSeq {
-		for i := 0; i < n; i++ {
-			if mg[i] < 0 || mg[i] >= netsim.MinutesPerDay {
-				return fmt.Errorf("probe: grouped session minute %d out of range", mg[i])
-			}
-		}
-	}
 	if useSeq || c.groupingValid(seg, by, n) {
 		for sv := 0; sv < c.NumServices; sv++ {
 			lo, hi := int(seg[sv]), int(seg[sv+1])
@@ -532,67 +565,21 @@ func (c *Collector) ObserveColumns(bs, day int, cols *netsim.DayColumns) error {
 		return nil
 	}
 
-	if c.volBinner.uniform && c.durBinner.uniform {
-		// Threshold binning, as in foldCell: exponent-derived guess
-		// settled against linear edge thresholds — exactly binner.bin's
-		// semantics (the oracle property test pins the equivalence).
-		vThr, vN, vLo, vInvW := c.volBinner.thr, c.volBinner.n, c.volBinner.lo, c.volBinner.invW
-		dThr, dN, dLo, dInvW := c.durBinner.thr, c.durBinner.n, c.durBinner.lo, c.durBinner.invW
-		for i := 0; i < n; i++ {
-			slot := int(svc[i])*stride + base
-			st := cells[slot]
-			if st == nil {
-				st = c.newCell()
-				cells[slot] = st
-			}
-			st.MinuteCounts[minute[i]]++
-			st.Sessions++
-			v := volume[i]
-			vb := int((approxLog10(v) - vLo) * vInvW)
-			if vb < 0 {
-				vb = 0
-			} else if vb > vN-1 {
-				vb = vN - 1
-			}
-			for vb > 0 && v < vThr[vb] {
-				vb--
-			}
-			for vb < vN-1 && v >= vThr[vb+1] {
-				vb++
-			}
-			st.Volume.P[vb]++
-			d := duration[i]
-			db := int((approxLog10(d) - dLo) * dInvW)
-			if db < 0 {
-				db = 0
-			} else if db > dN-1 {
-				db = dN - 1
-			}
-			for db > 0 && d < dThr[db] {
-				db--
-			}
-			for db < dN-1 && d >= dThr[db+1] {
-				db++
-			}
-			st.DurVolSum[db] += v
-			st.DurCount[db]++
+	vb, db := &c.volBinner, &c.durBinner
+	for i := 0; i < n; i++ {
+		slot := int(svc[i])*stride + base
+		st := cells[slot]
+		if st == nil {
+			st = c.newCell()
+			cells[slot] = st
 		}
-	} else {
-		for i := 0; i < n; i++ {
-			slot := int(svc[i])*stride + base
-			st := cells[slot]
-			if st == nil {
-				st = c.newCell()
-				cells[slot] = st
-			}
-			st.MinuteCounts[minute[i]]++
-			st.Sessions++
-			v := volume[i]
-			st.Volume.P[c.volBinner.bin(math.Log10(math.Max(v, 1)))]++
-			db := c.durBinner.bin(math.Log10(math.Max(duration[i], 1)))
-			st.DurVolSum[db] += v
-			st.DurCount[db]++
-		}
+		st.MinuteCounts[minute[i]]++
+		st.Sessions++
+		v := volume[i]
+		st.Volume.P[vb.bin(v)]++
+		d := db.bin(duration[i])
+		st.DurVolSum[d] += v
+		st.DurCount[d]++
 	}
 	if c.obsFlows != nil {
 		// One Add per touched service instead of one per session. The
@@ -663,52 +650,16 @@ func (c *Collector) segValid(seg []int32, n int) bool {
 func (c *Collector) foldCellSeq(st *DayStats, minute []int32, volume, duration []float64) {
 	mc := st.MinuteCounts
 	vp, dv, dc := st.Volume.P, st.DurVolSum, st.DurCount
+	vb, db := &c.volBinner, &c.durBinner
 	volume = volume[:len(minute)]
 	duration = duration[:len(minute)]
-	if c.volBinner.uniform && c.durBinner.uniform {
-		vThr, vN, vLo, vInvW := c.volBinner.thr, c.volBinner.n, c.volBinner.lo, c.volBinner.invW
-		dThr, dN, dLo, dInvW := c.durBinner.thr, c.durBinner.n, c.durBinner.lo, c.durBinner.invW
-		for k, m := range minute {
-			mc[m]++
-			v := volume[k]
-			vb := int((approxLog10(v) - vLo) * vInvW)
-			if vb < 0 {
-				vb = 0
-			} else if vb > vN-1 {
-				vb = vN - 1
-			}
-			for vb > 0 && v < vThr[vb] {
-				vb--
-			}
-			for vb < vN-1 && v >= vThr[vb+1] {
-				vb++
-			}
-			vp[vb]++
-			d := duration[k]
-			db := int((approxLog10(d) - dLo) * dInvW)
-			if db < 0 {
-				db = 0
-			} else if db > dN-1 {
-				db = dN - 1
-			}
-			for db > 0 && d < dThr[db] {
-				db--
-			}
-			for db < dN-1 && d >= dThr[db+1] {
-				db++
-			}
-			dv[db] += v
-			dc[db]++
-		}
-		return
-	}
 	for k, m := range minute {
 		mc[m]++
 		v := volume[k]
-		vp[c.volBinner.bin(math.Log10(math.Max(v, 1)))]++
-		db := c.durBinner.bin(math.Log10(math.Max(duration[k], 1)))
-		dv[db] += v
-		dc[db]++
+		vp[vb.bin(v)]++
+		d := db.bin(duration[k])
+		dv[d] += v
+		dc[d]++
 	}
 }
 
@@ -717,61 +668,20 @@ func (c *Collector) foldCellSeq(st *DayStats, minute []int32, volume, duration [
 // cache-hot across the whole segment. seg holds the segment's session
 // indices (for the minute lookup); volume and duration are the
 // segment's contiguous slices of the grouped value columns, streamed
-// sequentially. Binning matches binner.bin exactly.
+// sequentially.
 func (c *Collector) foldCell(st *DayStats, seg, minute []int32, volume, duration []float64) {
 	mc := st.MinuteCounts
 	vp, dv, dc := st.Volume.P, st.DurVolSum, st.DurCount
+	vb, db := &c.volBinner, &c.durBinner
 	volume = volume[:len(seg)]
 	duration = duration[:len(seg)]
-	if c.volBinner.uniform && c.durBinner.uniform {
-		// Threshold binning: an exponent-derived guess settled against
-		// precomputed linear edge thresholds (see linThr) — the same bin
-		// Log10-space binning yields, with zero transcendental calls in
-		// the loop. The guess underestimates by well under a bin width,
-		// so each settle loop runs at most one step.
-		vThr, vN, vLo, vInvW := c.volBinner.thr, c.volBinner.n, c.volBinner.lo, c.volBinner.invW
-		dThr, dN, dLo, dInvW := c.durBinner.thr, c.durBinner.n, c.durBinner.lo, c.durBinner.invW
-		for k, g := range seg {
-			mc[minute[g]]++
-			v := volume[k]
-			vb := int((approxLog10(v) - vLo) * vInvW)
-			if vb < 0 {
-				vb = 0
-			} else if vb > vN-1 {
-				vb = vN - 1
-			}
-			for vb > 0 && v < vThr[vb] {
-				vb--
-			}
-			for vb < vN-1 && v >= vThr[vb+1] {
-				vb++
-			}
-			vp[vb]++
-			d := duration[k]
-			db := int((approxLog10(d) - dLo) * dInvW)
-			if db < 0 {
-				db = 0
-			} else if db > dN-1 {
-				db = dN - 1
-			}
-			for db > 0 && d < dThr[db] {
-				db--
-			}
-			for db < dN-1 && d >= dThr[db+1] {
-				db++
-			}
-			dv[db] += v
-			dc[db]++
-		}
-		return
-	}
 	for k, g := range seg {
 		mc[minute[g]]++
 		v := volume[k]
-		vp[c.volBinner.bin(math.Log10(math.Max(v, 1)))]++
-		db := c.durBinner.bin(math.Log10(math.Max(duration[k], 1)))
-		dv[db] += v
-		dc[db]++
+		vp[vb.bin(v)]++
+		d := db.bin(duration[k])
+		dv[d] += v
+		dc[d]++
 	}
 }
 

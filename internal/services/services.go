@@ -284,7 +284,8 @@ func (p *Profile) SampleDurationLn(lnV float64, rng *mathx.PCG) float64 {
 // whole rectangles from the lane-split batch kernels (FillFloat64 then
 // FillNorm) instead of interleaving two scalar draws per session. u and
 // z are caller scratch of at least len(v) elements; their contents are
-// overwritten. Each element realizes exactly the SampleVolumeLn
+// overwritten, and lnV may alias u (element i is read before it is
+// written). Each element realizes exactly the SampleVolumeLn
 // mixture — same component selection, same ln-domain clamp — but the
 // rectangular draw layout consumes the RNG stream in a different order
 // than a loop of scalar calls would (the sampler-v2 stream contract
@@ -348,7 +349,8 @@ func (p *Profile) SampleVolumeLnBatch(rng *mathx.PCG, u, z, v, lnV []float64) {
 // each session volume in lnV it fills the duration in seconds (d) and
 // its natural log (lnD), drawing the log-normal noise deviates as one
 // FillNorm rectangle into the caller scratch z (at least len(d)
-// elements, overwritten). The clamp semantics match SampleDurationLn
+// elements, overwritten; lnD may alias z, as element i is read before
+// it is written). The clamp semantics match SampleDurationLn
 // exactly: x <= 0 yields (1, 0) and x >= ln 86400 yields (86400,
 // ln 86400), both skipping the Exp. Requires Precompute; falls back to
 // the closed-form terms on a raw Profile literal.

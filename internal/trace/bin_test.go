@@ -530,6 +530,41 @@ func TestReadBinAllocBudget(t *testing.T) {
 	}
 }
 
+// TestReadTextAllocBudget pins the CSV and JSON-lines readers' memory
+// as a multiple of the bytes of the []Record they return. A seekable
+// input is line-counted first, so its records land in one presized
+// slice: at most 2.5x, the unseekable MTTR bound. An unseekable one
+// collects them in chunks and joins them once. From CSV that costs
+// more, since csv.Reader allocates one string per row. Reading every
+// CSV row up front and regrowing the result cost 6.33x (CSV) and 7.00x
+// (JSON) either way.
+func TestReadTextAllocBudget(t *testing.T) {
+	recs := generatorRecords(100_000, 12)
+	out := uint64(unsafe.Sizeof(Record{})) * uint64(len(recs))
+	seekable := func(d []byte) io.Reader { return bytes.NewReader(d) }
+	csvData, jsonData := writeTrace(t, recs, CSV), writeTrace(t, recs, JSONLines)
+	for _, c := range []struct {
+		name   string
+		data   []byte
+		open   func([]byte) io.Reader
+		budget float64
+	}{
+		{"csv/seekable", csvData, seekable, 2.5},
+		{"csv/unseekable", csvData, unseekable, 3.25},
+		{"json/seekable", jsonData, seekable, 2.5},
+		{"json/unseekable", jsonData, unseekable, 2.5},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got := readAllocs(t, c.data, len(recs), c.open)
+			ratio := float64(got) / float64(out)
+			if ratio > c.budget {
+				t.Errorf("Read allocated %d B for a %d B []Record (%.2fx), budget %.2fx", got, out, ratio, c.budget)
+			}
+			t.Logf("Read allocated %d B for a %d B []Record (%.2fx)", got, out, ratio)
+		})
+	}
+}
+
 // TestBinWriterAllocBudget pins the writer's memory per record. Beyond
 // the reused block columns, a record costs its volume twice: once in
 // its block's volume column, handed over whole at flush, and once in

@@ -9,12 +9,14 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 
 	"mobiletraffic/internal/mathx"
 )
@@ -158,9 +160,9 @@ func (w *Writer) Flush() error {
 
 // Read parses a whole trace from r, auto-detecting the format from the
 // leading bytes ("MTTR" selects the columnar binary format, '{' JSON
-// lines, anything else CSV). An MTTR trace read from an io.ReadSeeker
-// (a file, a bytes.Reader) decodes into one slice presized from its
-// footer; the trace may start at r's current offset.
+// lines, anything else CSV). A trace read from an io.ReadSeeker (a
+// file, a bytes.Reader) decodes into one slice presized from its MTTR
+// footer or its line count; the trace may start at r's current offset.
 func Read(r io.Reader) ([]Record, error) {
 	br := bufio.NewReader(r)
 	first, err := br.Peek(4)
@@ -177,68 +179,158 @@ func Read(r io.Reader) ([]Record, error) {
 		}
 		return readBin(br, hint)
 	}
-	if first[0] == '{' {
-		return readJSON(br)
+	hint, err := lineHint(r, br)
+	if err != nil {
+		return nil, err
 	}
-	return readCSV(br)
+	out := recordChunks{cur: make([]Record, 0, hint)}
+	if first[0] == '{' {
+		return readJSON(br, out)
+	}
+	return readCSV(br, out)
 }
 
-func readJSON(r io.Reader) ([]Record, error) {
-	dec := json.NewDecoder(r)
-	var out []Record
+// minRecordLine is the fewest bytes a text record takes ("0,a,1,1,0").
+const minRecordLine = 9
+
+// lineHint returns the number of lines in the text trace that br was
+// peeked from, when r — the reader behind br — can seek, or 0 when it
+// cannot: a capacity for its records, so that an honest trace lands in
+// one slice with no join. The count takes one pass over the bytes and
+// leaves r where br stopped reading. Like binSessionHint's, it is
+// capped at what the bytes could hold and is never trusted for content.
+func lineHint(r io.Reader, br *bufio.Reader) (int, error) {
+	rs, ok := r.(io.ReadSeeker)
+	if !ok {
+		return 0, nil
+	}
+	pos, err := rs.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return 0, nil // an unseekable *os.File, such as a pipe
+	}
+	buf, _ := br.Peek(br.Buffered())
+	lines, size := bytes.Count(buf, []byte{'\n'}), len(buf)
+	buf = make([]byte, 32<<10)
 	for {
-		var rec Record
+		n, err := rs.Read(buf)
+		lines += bytes.Count(buf[:n], []byte{'\n'})
+		size += n
+		if err != nil {
+			if !errors.Is(err, io.EOF) {
+				lines = 0 // the read proper reports it
+			}
+			break
+		}
+	}
+	if _, err := rs.Seek(pos, io.SeekStart); err != nil {
+		return 0, fmt.Errorf("trace: seek back after counting lines: %w", err)
+	}
+	return min(lines, size/minRecordLine) + 1, nil
+}
+
+// readJSON and readCSV collect their records into out, which may come
+// presized.
+func readJSON(r io.Reader, out recordChunks) ([]Record, error) {
+	dec := json.NewDecoder(r)
+	svcs := serviceNames{}
+	var rec Record
+	for {
+		rec = Record{}
 		if err := dec.Decode(&rec); err != nil {
 			if errors.Is(err, io.EOF) {
 				break
 			}
-			return nil, fmt.Errorf("trace: json record %d: %w", len(out)+1, err)
+			return nil, fmt.Errorf("trace: json record %d: %w", out.n+1, err)
 		}
 		if err := rec.Validate(); err != nil {
-			return nil, fmt.Errorf("trace: json record %d: %w", len(out)+1, err)
+			return nil, fmt.Errorf("trace: json record %d: %w", out.n+1, err)
 		}
-		out = append(out, rec)
+		rec.Service = svcs.intern(rec.Service)
+		out.add(rec)
 	}
-	return out, nil
+	return out.records(), nil
 }
 
-func readCSV(r io.Reader) ([]Record, error) {
+func readCSV(r io.Reader, out recordChunks) ([]Record, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(Header)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("trace: csv: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	start := 0
-	if rows[0][0] == Header[0] {
-		start = 1 // skip header
-	}
-	out := make([]Record, 0, len(rows)-start)
-	for i := start; i < len(rows); i++ {
-		row := rows[i]
-		rec := Record{Service: row[1]}
-		fields := []struct {
-			idx int
-			dst *float64
-		}{
-			{0, &rec.TimeS}, {2, &rec.Bytes}, {3, &rec.DurationS}, {4, &rec.Throughput},
+	cr.ReuseRecord = true
+	svcs := serviceNames{}
+	for row := 1; ; row++ {
+		fields, err := cr.Read()
+		if errors.Is(err, io.EOF) {
+			break
 		}
-		for _, f := range fields {
-			v, err := strconv.ParseFloat(row[f.idx], 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: csv row %d column %d: %w", i+1, f.idx+1, err)
+		if err != nil {
+			return nil, fmt.Errorf("trace: csv: %w", err)
+		}
+		if row == 1 && fields[0] == Header[0] {
+			continue // skip header
+		}
+		var v [5]float64 // the float columns, by Header index
+		for i, f := range fields {
+			if i == 1 {
+				continue // the service name
 			}
-			*f.dst = v
+			if v[i], err = strconv.ParseFloat(f, 64); err != nil {
+				return nil, fmt.Errorf("trace: csv row %d column %d: %w", row, i+1, err)
+			}
 		}
+		rec := Record{TimeS: v[0], Service: svcs.intern(fields[1]), Bytes: v[2], DurationS: v[3], Throughput: v[4]}
 		if err := rec.Validate(); err != nil {
-			return nil, fmt.Errorf("trace: csv row %d: %w", i+1, err)
+			return nil, fmt.Errorf("trace: csv row %d: %w", row, err)
 		}
-		out = append(out, rec)
+		out.add(rec)
 	}
-	return out, nil
+	return out.records(), nil
+}
+
+// serviceNames interns the service names of a text trace: every record
+// of one service shares one string, instead of each pinning its own
+// copy (or, from CSV, its whole row).
+type serviceNames map[string]string
+
+func (m serviceNames) intern(s string) string {
+	if v, ok := m[s]; ok {
+		return v
+	}
+	s = strings.Clone(s)
+	m[s] = s
+	return s
+}
+
+// recordChunks collects the records of a text trace, whose count is not
+// known up front, in chunks that double up to maxRecordChunk records:
+// growing never copies a record, and records joins them once into an
+// exact-size slice.
+type recordChunks struct {
+	full [][]Record
+	cur  []Record
+	n    int
+}
+
+const maxRecordChunk = 1 << 13
+
+func (c *recordChunks) add(r Record) {
+	if len(c.cur) == cap(c.cur) {
+		if len(c.cur) > 0 {
+			c.full = append(c.full, c.cur)
+		}
+		c.cur = make([]Record, 0, min(max(2*cap(c.cur), 64), maxRecordChunk))
+	}
+	c.cur = append(c.cur, r)
+	c.n++
+}
+
+func (c *recordChunks) records() []Record {
+	if len(c.full) == 0 {
+		return c.cur
+	}
+	out := make([]Record, 0, c.n)
+	for _, f := range c.full {
+		out = append(out, f...)
+	}
+	return append(out, c.cur...)
 }
 
 // Summary condenses a trace for reporting. The binary format embeds it
